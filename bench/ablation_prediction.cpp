@@ -12,7 +12,9 @@
 // `wss stream --predict` path): train_alerts is sized by a pre-pass so
 // the stage fits at the same 60% time boundary, and per-system
 // precision / recall / median lead time land in BENCH_prediction.json
-// (JSON-lines, like BENCH_stream.json) for the cross-PR trajectory.
+// (JSON-lines) for the cross-PR trajectory.
+#include <fstream>
+
 #include "bench_common.hpp"
 
 #include "obs/metrics.hpp"
@@ -126,7 +128,6 @@ int main() {
 
   // ---- Online section: the same protocol through the streaming
   // prediction stage (`wss stream --predict`). ----
-#ifndef WSS_PREDICT_OFF
   std::cout << "\n==== Online: StreamPipeline --predict ====\n";
   util::Table ot({"System", "Issued", "Precision", "Recall(test)",
                   "MedLead(s)", "Rules", "Incidents"});
@@ -230,9 +231,6 @@ int main() {
     if (os) os << json << "\n";
   }
   std::cout << "(appended to BENCH_prediction.json)\n";
-#else
-  std::cout << "\n(online section skipped: WSS_PREDICT_OFF build)\n";
-#endif
   std::cout << util::format(
       "\nEnsemble within 15%% of the best hindsight-chosen single\n"
       "predictor on every system, without knowing which feature works\n"

@@ -6,9 +6,6 @@
 //   3. a machine-readable CSV block bracketed by BEGIN/END markers.
 #pragma once
 
-#include <chrono>
-#include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <string>
 
@@ -42,55 +39,6 @@ inline void begin_csv(const std::string& id) {
 
 inline void end_csv(const std::string& id) {
   std::cout << "END CSV " << id << "\n";
-}
-
-/// Threads sweep of the parallel pipeline on perf_parse's default
-/// workload (Spirit, category_cap 3000 / chatter 20000): wall-clock
-/// lines/sec at 1, 2, 4, and 8 threads, best of `reps`. Prints a
-/// summary table and appends one JSON record per call to
-/// BENCH_pipeline.json (JSON-lines: one self-contained object per
-/// line, keyed by `bench`), so the perf trajectory across PRs is
-/// machine-readable.
-inline void emit_pipeline_threads_sweep(const std::string& bench_id,
-                                        int reps = 3) {
-  sim::SimOptions opts;
-  opts.category_cap = 3000;
-  opts.chatter_events = 20000;
-  const sim::Simulator simulator(parse::SystemId::kSpirit, opts);
-  const auto lines = static_cast<double>(simulator.events().size());
-
-  std::cout << "\n==== Pipeline threads sweep (" << bench_id << ") ====\n";
-  std::string json = util::format(
-      "{\"bench\":\"%s\",\"workload\":\"spirit cap=3000 chatter=20000\","
-      "\"lines\":%zu,\"sweep\":[",
-      bench_id.c_str(), simulator.events().size());
-  double serial_lps = 0.0;
-  for (const int threads : {1, 2, 4, 8}) {
-    core::PipelineOptions popts;
-    popts.num_threads = threads;
-    const core::ParallelPipeline pipeline(popts);
-    double best_s = 1e300;
-    for (int r = 0; r < reps; ++r) {
-      const auto t0 = std::chrono::steady_clock::now();
-      const auto result = pipeline.run(simulator);
-      const auto t1 = std::chrono::steady_clock::now();
-      // Keep the compiler honest: consume a result field.
-      if (result.physical_messages == 0) std::abort();
-      best_s = std::min(best_s,
-                        std::chrono::duration<double>(t1 - t0).count());
-    }
-    const double lps = lines / best_s;
-    if (threads == 1) serial_lps = lps;
-    std::cout << util::format(
-        "  threads=%d  %10.0f lines/sec  (%.3f s, speedup %.2fx)\n", threads,
-        lps, best_s, serial_lps > 0 ? lps / serial_lps : 1.0);
-    json += util::format("%s{\"threads\":%d,\"lines_per_sec\":%.1f}",
-                         threads == 1 ? "" : ",", threads, lps);
-  }
-  json += "]}";
-  std::ofstream os("BENCH_pipeline.json", std::ios::app);
-  if (os) os << json << "\n";
-  std::cout << "(appended to BENCH_pipeline.json)\n";
 }
 
 }  // namespace wss::bench

@@ -107,6 +107,5 @@ int main(int argc, char** argv) {
       "\nBest-of-7 wall clock: serial %.3f ms, simultaneous %.3f ms -> "
       "simultaneous is %.1f%% faster (paper: 16%% on the Spirit logs).\n",
       t_serial * 1e3, t_simul * 1e3, speedup);
-  wss::bench::emit_pipeline_threads_sweep("perf_filter");
   return 0;
 }

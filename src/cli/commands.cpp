@@ -966,12 +966,13 @@ int cmd_serve(const Args& args, std::ostream& out, std::ostream& err) {
   if (loop_shards == "auto") {
     sopts.loop_shards = 0;  // the server sizes to the machine
   } else {
-    sopts.loop_shards = std::atoi(loop_shards.c_str());
-    if (sopts.loop_shards < 1 || sopts.loop_shards > 64) {
+    const auto shards = util::parse_i64(loop_shards);
+    if (!shards || *shards < 1 || *shards > 64) {
       err << "--loop-shards wants 1..64 or auto, got '" << loop_shards
           << "'\n";
       return 2;
     }
+    sopts.loop_shards = static_cast<int>(*shards);
   }
   if (!tcp_spec && !udp_spec) {
     err << "serve requires at least one listener (--tcp and/or --udp)\n";
@@ -1014,11 +1015,12 @@ int cmd_serve(const Args& args, std::ostream& out, std::ostream& err) {
     }
     cfg.system = *sys;
     if (c2 != std::string::npos) {
-      cfg.start_year = std::atoi(tok.c_str() + c2 + 1);
-      if (cfg.start_year <= 0) {
+      const auto year = util::parse_i64(std::string_view(tok).substr(c2 + 1));
+      if (!year || *year < 1 || *year > 9999) {
         err << "serve: bad year in --tenant '" << tok << "'\n";
         return 2;
       }
+      cfg.start_year = static_cast<int>(*year);
     }
     sopts.tenants.push_back(std::move(cfg));
   }

@@ -23,31 +23,17 @@ int ParallelPipeline::resolved_threads() const {
   return hw > 0 ? static_cast<int>(hw) : 1;
 }
 
-PipelineResult ParallelPipeline::run(const sim::Simulator& simulator) const {
-  const auto shards = simulator.event_shards(options_.chunk_events);
-  const int workers = std::min<int>(
-      resolved_threads(), static_cast<int>(std::max<std::size_t>(
-                              shards.size(), 1)));
-  if (workers <= 1) {
-    // Serial fallback shares the exact code path (and therefore the
-    // exact FP accumulation order) with the threaded run below.
-    return run_pipeline(simulator, options_);
-  }
+namespace {
 
-  const parse::SystemId system = simulator.spec().id;
-  const tag::RuleSet rules = tag::build_ruleset(system);
-  const tag::TagEngine engine(rules);
+using Shards = std::vector<sim::Simulator::EventRange>;
 
-  detail::ChunkContext ctx;
-  ctx.simulator = &simulator;
-  ctx.engine = &engine;
-  ctx.system = system;
-  ctx.num_categories = tag::categories_of(system).size();
-  ctx.collect_source_tallies = options_.collect_source_tallies;
-
-  // Each worker writes only partials[i] for the chunk ids it pops, so
-  // the result array needs no lock; the queue provides the necessary
-  // happens-before edges between producer, workers, and the join.
+/// Reduces every shard on a pool of `workers` threads; returns the
+/// partials indexed by chunk. Each worker writes only partials[i] for
+/// the chunk ids it pops, so the result array needs no lock; the queue
+/// provides the necessary happens-before edges between producer,
+/// workers, and the join.
+std::vector<PipelineResult> reduce_on_pool(const detail::ChunkContext& ctx,
+                                           const Shards& shards, int workers) {
   std::vector<PipelineResult> partials(shards.size());
   MpmcQueue<std::size_t> queue(
       MpmcQueue<std::size_t>::next_pow2(static_cast<std::size_t>(workers) * 4));
@@ -86,16 +72,49 @@ PipelineResult ParallelPipeline::run(const sim::Simulator& simulator) const {
   }  // jthreads join here
 
   if (failed.load()) std::rethrow_exception(first_error);
+  return partials;
+}
 
-  PipelineResult r;
-  r.system = system;
-  r.weighted_alert_counts.assign(ctx.num_categories, 0.0);
-  r.physical_alert_counts.assign(ctx.num_categories, 0);
+}  // namespace
+
+PipelineResult ParallelPipeline::run(const sim::Simulator& simulator) const {
+  const Shards shards = simulator.event_shards(options_.chunk_events);
+  const int workers = std::min<int>(
+      resolved_threads(), static_cast<int>(std::max<std::size_t>(
+                              shards.size(), 1)));
+
+  const parse::SystemId system = simulator.spec().id;
+  const tag::TagEngine engine(tag::build_ruleset(system));
+
+  detail::ChunkContext ctx;
+  ctx.simulator = &simulator;
+  ctx.engine = &engine;
+  ctx.system = system;
+  ctx.num_categories = tag::categories_of(system).size();
+  ctx.collect_source_tallies = options_.collect_source_tallies;
+
+  // A threaded run reduces every chunk on the pool first; a serial run
+  // reduces each chunk inside the merge loop, holding one partial at a
+  // time. Both merge in chunk-index order, so both accumulate in the
+  // same FP order.
+  const bool threaded = workers > 1;
+  std::vector<PipelineResult> partials;
+  if (threaded) partials = reduce_on_pool(ctx, shards, workers);
+
+  PipelineResult r = detail::make_partial(ctx);
+  match::MatchScratch scratch;  // serial only: reused across every chunk
+  tag::TagMetricsFlusher flusher;
   obs::Counter& chunks = detail::PipelineCounters::get().chunks;
   {
-    obs::Span merge_span("pipeline_merge");
-    for (auto& part : partials) {
-      detail::merge_partial(r, std::move(part));
+    obs::Span pass(threaded ? "pipeline_merge" : "pipeline_serial");
+    for (std::size_t i = 0; i < shards.size(); ++i) {
+      if (threaded) {
+        detail::merge_partial(r, std::move(partials[i]));
+      } else {
+        detail::merge_partial(r, detail::process_chunk(ctx, shards[i].begin,
+                                                       shards[i].end, scratch));
+        flusher.flush(scratch);
+      }
       chunks.inc();
     }
   }
@@ -104,6 +123,20 @@ PipelineResult ParallelPipeline::run(const sim::Simulator& simulator) const {
     detail::finalize_result(r);
   }
   return r;
+}
+
+PipelineResult run_pipeline(const sim::Simulator& simulator,
+                            const PipelineOptions& options) {
+  PipelineOptions serial = options;
+  serial.num_threads = 1;
+  return ParallelPipeline(serial).run(simulator);
+}
+
+PipelineResult run_pipeline(const sim::Simulator& simulator,
+                            bool collect_source_tallies) {
+  PipelineOptions options;
+  options.collect_source_tallies = collect_source_tallies;
+  return run_pipeline(simulator, options);
 }
 
 }  // namespace wss::core

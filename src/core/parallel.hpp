@@ -3,7 +3,9 @@
 // Shards the simulator's rendered line stream into fixed-size chunks
 // (sim::Simulator::event_shards), reduces each chunk to a partial
 // PipelineResult on a fixed-size std::jthread pool fed by a bounded
-// MPMC work queue, and merges the partials in chunk-index order.
+// MPMC work queue, and merges the partials in chunk-index order. With
+// one worker the same loop reduces each chunk inline instead; that
+// branch is core::run_pipeline.
 //
 // Determinism guarantee: because chunk boundaries depend only on
 // PipelineOptions::chunk_events and the merge walks chunks in index

@@ -1,11 +1,8 @@
 #include "core/pipeline.hpp"
 
-#include <algorithm>
+#include <iterator>
 
-#include "obs/span.hpp"
 #include "parse/dispatch.hpp"
-#include "tag/metrics.hpp"
-#include "tag/rulesets.hpp"
 
 namespace wss::core {
 
@@ -143,52 +140,5 @@ void finalize_result(PipelineResult& r) {
 }
 
 }  // namespace detail
-
-PipelineResult run_pipeline(const sim::Simulator& simulator,
-                            const PipelineOptions& options) {
-  const parse::SystemId system = simulator.spec().id;
-  const tag::RuleSet rules = tag::build_ruleset(system);
-  const tag::TagEngine engine(rules);
-
-  detail::ChunkContext ctx;
-  ctx.simulator = &simulator;
-  ctx.engine = &engine;
-  ctx.system = system;
-  ctx.num_categories = tag::categories_of(system).size();
-  ctx.collect_source_tallies = options.collect_source_tallies;
-
-  const std::size_t n = simulator.events().size();
-  const std::size_t chunk = std::max<std::size_t>(options.chunk_events, 1);
-
-  PipelineResult r;
-  r.system = system;
-  r.weighted_alert_counts.assign(ctx.num_categories, 0.0);
-  r.physical_alert_counts.assign(ctx.num_categories, 0);
-  match::MatchScratch scratch;  // reused across every line of the pass
-  tag::TagMetricsFlusher flusher;
-  obs::Counter& chunks = detail::PipelineCounters::get().chunks;
-  {
-    obs::Span pass("pipeline_serial");
-    for (std::size_t begin = 0; begin < n; begin += chunk) {
-      detail::merge_partial(r, detail::process_chunk(
-                                   ctx, begin, std::min(begin + chunk, n),
-                                   scratch));
-      chunks.inc();
-      flusher.flush(scratch);
-    }
-  }
-  {
-    obs::Span fin("finalize");
-    detail::finalize_result(r);
-  }
-  return r;
-}
-
-PipelineResult run_pipeline(const sim::Simulator& simulator,
-                            bool collect_source_tallies) {
-  PipelineOptions options;
-  options.collect_source_tallies = collect_source_tallies;
-  return run_pipeline(simulator, options);
-}
 
 }  // namespace wss::core

@@ -88,7 +88,7 @@ PipelineResult run_pipeline(const sim::Simulator& simulator,
                             bool collect_source_tallies = true);
 
 /// Same, with explicit options. num_threads is ignored here (this is
-/// the serial reference); use ParallelPipeline for threaded runs.
+/// the serial reference): it is ParallelPipeline's one-thread branch.
 PipelineResult run_pipeline(const sim::Simulator& simulator,
                             const PipelineOptions& options);
 

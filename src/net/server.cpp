@@ -114,7 +114,13 @@ Handshake Handshake::parse(const std::string& line) {
         return h;
       }
     } else if (key == "year") {
-      h.year = std::atoi(val.c_str());
+      const auto year = util::parse_i64(val);
+      if (!year || *year < 1 || *year > 9999) {
+        h.error = util::format("handshake year must be 1..9999, got '%s'",
+                               val.c_str());
+        return h;
+      }
+      h.year = static_cast<int>(*year);
     } else {
       h.error = util::format("unknown handshake key '%s'", key.c_str());
       return h;

@@ -171,21 +171,17 @@ void Registry::set_counter(std::string_view name, std::uint64_t v) {
 }
 
 void Registry::set_gauge(std::string_view name, std::int64_t v) {
-  gauge(name).restore(v);
+  gauge(name).set(v);
 }
 
 void Registry::add_counter(std::string_view name, std::uint64_t delta) {
-  // value()+set() rather than inc(): inc() compiles out under
-  // WSS_OBS_OFF, but folded worker deltas must land regardless. Only
-  // meaningful at quiescence (the merge path is single-threaded).
-  Counter& c = counter(name);
-  c.set(c.value() + delta);
+  counter(name).inc(delta);
 }
 
 void Registry::reset() {
   std::lock_guard<std::mutex> lock(mu_);
   for (auto& [name, c] : counters_) c->set(0);
-  for (auto& [name, g] : gauges_) g->restore(0);
+  for (auto& [name, g] : gauges_) g->set(0);
   for (auto& [name, h] : histograms_) {
     for (std::size_t i = 0; i <= h->bounds_.size(); ++i) h->counts_[i] = 0;
     h->count_.store(0, std::memory_order_relaxed);

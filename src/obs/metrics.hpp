@@ -25,9 +25,6 @@
 //     across batch/stream runs (tests/test_obs_determinism.cpp).
 //     Wall-clock lives only in histograms and spans, which the
 //     determinism and checkpoint contracts exclude.
-//  4. *Compile-time kill switch.* -DWSS_OBS_OFF turns inc/set/observe
-//     and Span into no-ops while keeping the API (and the snapshot
-//     schema -- everything reads zero) intact.
 //
 // The checkpoint integration (stream/pipeline.cpp) serializes
 // counter_values()/gauge_values() and restores them with set_counter/
@@ -63,11 +60,7 @@ std::size_t stripe_index();
 class Counter {
  public:
   void inc(std::uint64_t n = 1) noexcept {
-#ifndef WSS_OBS_OFF
     cells_[detail::stripe_index()].v.fetch_add(n, std::memory_order_relaxed);
-#else
-    (void)n;
-#endif
   }
 
   std::uint64_t value() const noexcept {
@@ -100,27 +93,12 @@ class Counter {
 /// Last-writer-wins instantaneous value (occupancy, watermark).
 class Gauge {
  public:
-  void set(std::int64_t v) noexcept {
-#ifndef WSS_OBS_OFF
-    v_.store(v, std::memory_order_relaxed);
-#else
-    (void)v;
-#endif
-  }
+  void set(std::int64_t v) noexcept { v_.store(v, std::memory_order_relaxed); }
   void add(std::int64_t d) noexcept {
-#ifndef WSS_OBS_OFF
     v_.fetch_add(d, std::memory_order_relaxed);
-#else
-    (void)d;
-#endif
   }
   std::int64_t value() const noexcept {
     return v_.load(std::memory_order_relaxed);
-  }
-  /// Restore path: same as set() but compiled in even under WSS_OBS_OFF
-  /// so checkpoints round-trip identically.
-  void restore(std::int64_t v) noexcept {
-    v_.store(v, std::memory_order_relaxed);
   }
 
   const std::string& name() const { return name_; }
@@ -140,7 +118,6 @@ class Gauge {
 class Histogram {
  public:
   void observe(double v) noexcept {
-#ifndef WSS_OBS_OFF
     std::size_t b = 0;
     while (b < bounds_.size() && v > bounds_[b]) ++b;
     counts_[b].fetch_add(1, std::memory_order_relaxed);
@@ -149,9 +126,6 @@ class Histogram {
     while (!sum_.compare_exchange_weak(cur, cur + v,
                                        std::memory_order_relaxed)) {
     }
-#else
-    (void)v;
-#endif
   }
 
   const std::vector<double>& bounds() const { return bounds_; }
@@ -259,14 +233,13 @@ class Registry {
   std::vector<std::pair<std::string, std::int64_t>> gauge_values() const;
 
   /// Checkpoint-restore: registers the metric if needed and overwrites
-  /// its value (compiled in even under WSS_OBS_OFF).
+  /// its value.
   void set_counter(std::string_view name, std::uint64_t v);
   void set_gauge(std::string_view name, std::int64_t v);
 
   /// Distributed-merge fold: registers the counter if needed and adds a
-  /// worker's delta to it (compiled in even under WSS_OBS_OFF, so a
-  /// merged study reports the same totals as a batch run regardless of
-  /// the merge binary's instrumentation mode).
+  /// worker's delta to it, so a merged study reports the same totals as
+  /// a batch run.
   void add_counter(std::string_view name, std::uint64_t delta);
 
   /// Zeroes every counter, gauge, histogram, and span node in place.

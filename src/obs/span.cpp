@@ -2,8 +2,6 @@
 
 #include <cstring>
 
-#ifndef WSS_OBS_OFF
-
 namespace wss::obs {
 
 namespace {
@@ -52,5 +50,3 @@ Span::~Span() {
 }
 
 }  // namespace wss::obs
-
-#endif  // WSS_OBS_OFF

@@ -40,16 +40,9 @@ class Span {
   Span& operator=(const Span&) = delete;
 
  private:
-#ifndef WSS_OBS_OFF
   TraceNode* node_ = nullptr;
   ThreadTrace* trace_ = nullptr;
   std::chrono::steady_clock::time_point start_;
-#endif
 };
-
-#ifdef WSS_OBS_OFF
-inline Span::Span(const char*) {}
-inline Span::~Span() {}
-#endif
 
 }  // namespace wss::obs

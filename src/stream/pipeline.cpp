@@ -44,12 +44,7 @@ StreamPipeline::StreamPipeline(parse::SystemId system,
   ctx_.num_categories = cats_.size();
   ctx_.collect_source_tallies = opts.study.collect_source_tallies;
   if (opts_.predict.enabled) {
-#ifdef WSS_PREDICT_OFF
-    throw std::runtime_error(
-        "prediction is compiled out in this build (WSS_PREDICT_OFF)");
-#else
     predict_ = std::make_unique<PredictStage>(opts_.predict);
-#endif
   }
 }
 
@@ -59,20 +54,16 @@ void StreamPipeline::set_prediction_sink(PredictStage::PredictionSink sink) {
 }
 
 void StreamPipeline::offer(const filter::Alert& a) {
-#ifndef WSS_PREDICT_OFF
   if (predict_) predict_->observe(a, study_.has_ground_truth());
-#endif
   const bool admitted = filter_.offer(a);
   study_.on_filter_verdict(a, admitted);
   if (admitted && sink_) sink_(a);
 }
 
 void StreamPipeline::ingest(const sim::SimEvent& e, std::string_view line) {
-#ifndef WSS_OBS_OFF
   const bool sampled = (latency_tick_++ % 16) == 0;
   const auto t0 = sampled ? std::chrono::steady_clock::now()
                           : std::chrono::steady_clock::time_point{};
-#endif
   // Reduce into the open chunk partial with the shared batch reducer,
   // then let the study state advance chunk bookkeeping (it merges the
   // partial at every chunk_events boundary, exactly like run_pipeline).
@@ -101,13 +92,11 @@ void StreamPipeline::ingest(const sim::SimEvent& e, std::string_view line) {
     flusher_.flush(scratch_);
     StreamObs::get().watermark.set(study_.watermark());
   }
-#ifndef WSS_OBS_OFF
   if (sampled) {
     const std::chrono::duration<double> dt =
         std::chrono::steady_clock::now() - t0;
     StreamObs::get().latency.observe(dt.count());
   }
-#endif
 }
 
 std::uint32_t StreamPipeline::intern(const std::string& name) {
@@ -117,11 +106,9 @@ std::uint32_t StreamPipeline::intern(const std::string& name) {
 }
 
 void StreamPipeline::ingest_line(std::string_view line) {
-#ifndef WSS_OBS_OFF
   const bool sampled = (latency_tick_++ % 16) == 0;
   const auto t0 = sampled ? std::chrono::steady_clock::now()
                           : std::chrono::steady_clock::time_point{};
-#endif
   study_.mark_no_ground_truth();
 
   // Year-rollover inference, as logio::read_log does it: peek the
@@ -191,13 +178,11 @@ void StreamPipeline::ingest_line(std::string_view line) {
     flusher_.flush(scratch_);
     StreamObs::get().watermark.set(study_.watermark());
   }
-#ifndef WSS_OBS_OFF
   if (sampled) {
     const std::chrono::duration<double> dt =
         std::chrono::steady_clock::now() - t0;
     StreamObs::get().latency.observe(dt.count());
   }
-#endif
 }
 
 void StreamPipeline::publish_metrics() {
@@ -312,13 +297,8 @@ void StreamPipeline::restore(std::istream& is) {
 
   predict_.reset();
   if (po.enabled) {
-#ifdef WSS_PREDICT_OFF
-    throw std::runtime_error(
-        "checkpoint has prediction state but this build has WSS_PREDICT_OFF");
-#else
     predict_ = std::make_unique<PredictStage>(po);
     if (psink_) predict_->set_sink(psink_);
-#endif
   }
 
   study_ = StreamStudyState(system_, so);

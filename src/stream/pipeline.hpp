@@ -130,8 +130,7 @@ class StreamPipeline {
   core::detail::ChunkContext ctx_;
   StreamStudyState study_;
   OnlineSimultaneousFilter filter_;
-  /// Present iff opts_.predict.enabled (and the build has prediction
-  /// compiled in; WSS_PREDICT_OFF makes enabling a runtime error).
+  /// Present iff opts_.predict.enabled.
   std::unique_ptr<PredictStage> predict_;
   AlertSink sink_;
   /// Kept here as well so restore() (which rebuilds predict_) can

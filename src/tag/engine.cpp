@@ -1,9 +1,8 @@
 #include "tag/engine.hpp"
 
 #include <atomic>
-#include <cstdlib>
-#include <cstring>
 #include <map>
+#include <utility>
 
 #include "util/strings.hpp"
 
@@ -23,18 +22,8 @@ std::uint64_t next_engine_instance_id() {
 
 }  // namespace
 
-TagEngineMode TagEngine::mode_from_env() {
-  const char* env = std::getenv("WSS_TAG_ENGINE");
-  if (env == nullptr) return TagEngineMode::kMulti;
-  if (std::strcmp(env, "naive") == 0) return TagEngineMode::kNaive;
-  if (std::strcmp(env, "prefilter") == 0) return TagEngineMode::kPrefilter;
-  return TagEngineMode::kMulti;
-}
-
-TagEngine::TagEngine(RuleSet rules, TagEngineMode mode)
-    : rules_(std::move(rules)),
-      mode_(mode),
-      instance_id_(next_engine_instance_id()) {
+TagEngine::TagEngine(RuleSet rules)
+    : rules_(std::move(rules)), instance_id_(next_engine_instance_id()) {
   // Compile the rule plans: every whole-line term becomes a pattern of
   // the combined set matcher; every non-negated term with a provable
   // required literal contributes to the Aho–Corasick prefilter. (A
@@ -97,19 +86,6 @@ TagEngine::TagEngine(RuleSet rules, TagEngineMode mode)
   }
 }
 
-std::optional<TagResult> TagEngine::tag_line_scan(
-    std::string_view line, match::MatchScratch& scratch,
-    const std::uint64_t* candidates) const {
-  const auto& rule_list = rules_.rules();
-  for (std::size_t i = 0; i < rule_list.size(); ++i) {
-    if (candidates != nullptr && !match::bitset_test(candidates, i)) continue;
-    if (rule_list[i].predicate.matches(line, scratch)) {
-      return TagResult{static_cast<std::uint16_t>(i), rule_list[i].type};
-    }
-  }
-  return std::nullopt;
-}
-
 const std::uint64_t* TagEngine::candidate_set(match::MatchScratch& scratch,
                                               bool& any_candidate) const {
   match::CandidateCache& cache = scratch.candidate_cache;
@@ -162,11 +138,6 @@ const std::uint64_t* TagEngine::candidate_set(match::MatchScratch& scratch,
 std::optional<TagResult> TagEngine::tag_line(
     std::string_view line, match::MatchScratch& scratch) const {
   ++scratch.tag_lines;
-  if (mode_ == TagEngineMode::kNaive) {
-    const auto r = tag_line_scan(line, scratch, nullptr);
-    if (r) ++scratch.tag_hits;
-    return r;
-  }
 
   // 1. One Aho–Corasick pass over the line: which required literals
   //    occur? From that, which rules are still candidates? The scan
@@ -186,12 +157,6 @@ std::optional<TagResult> TagEngine::tag_line(
   if (!any_candidate) {
     ++scratch.prefilter_rejects;
     return std::nullopt;  // the chatter fast path
-  }
-
-  if (mode_ == TagEngineMode::kPrefilter) {
-    const auto r = tag_line_scan(line, scratch, candidates);
-    if (r) ++scratch.tag_hits;
-    return r;
   }
 
   // 2. One set-matching pass decides every whole-line term of every

@@ -19,16 +19,13 @@
 // Decisions are bit-identical to the naive per-rule loop at every
 // step -- the prefilter is a necessary-condition filter and the DFA is
 // exactly equivalent to the Pike VM -- which the golden suite and
-// tests/test_match_multiregex_fuzz.cpp enforce. The naive and
-// prefilter-only engines are kept behind TagEngineMode (env
-// WSS_TAG_ENGINE=naive|prefilter|multi) for the ablation bench,
-// bench/perf_tagging.cpp.
+// tests/test_match_multiregex_fuzz.cpp enforce; tests/test_tag_engine.cpp
+// checks the engine against a naive first-match oracle.
 #pragma once
 
 #include <memory>
 #include <optional>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "match/literal_scanner.hpp"
@@ -45,14 +42,6 @@ struct TagResult {
   filter::AlertType type = filter::AlertType::kIndeterminate;
 };
 
-/// Which matching strategy the engine uses. All three make identical
-/// decisions; they exist so the ablation bench can price each layer.
-enum class TagEngineMode : std::uint8_t {
-  kNaive,      ///< per-rule Pike-VM probes (the pre-set-matching path)
-  kPrefilter,  ///< Aho–Corasick candidates, then per-rule Pike probes
-  kMulti,      ///< candidates + one lazy-DFA set-matching pass (default)
-};
-
 /// Immutable matcher over one system's RuleSet. Owns its rules (so a
 /// temporary RuleSet may be passed safely); thread-compatible: tag()
 /// is const and all per-line mutable state lives in the caller's
@@ -60,9 +49,7 @@ enum class TagEngineMode : std::uint8_t {
 /// one).
 class TagEngine {
  public:
-  explicit TagEngine(RuleSet rules)
-      : TagEngine(std::move(rules), mode_from_env()) {}
-  TagEngine(RuleSet rules, TagEngineMode mode);
+  explicit TagEngine(RuleSet rules);
 
   /// Tags a raw line; nullopt when no rule matches (a non-alert).
   /// First matching rule wins, matching the paper's "two alerts are in
@@ -77,12 +64,6 @@ class TagEngine {
   std::optional<TagResult> tag(const parse::LogRecord& rec) const;
 
   const RuleSet& rules() const { return rules_; }
-  TagEngineMode mode() const { return mode_; }
-
-  /// Resolves WSS_TAG_ENGINE (naive | prefilter | multi); unset or
-  /// unrecognized values mean kMulti. The escape hatch exists for the
-  /// ablation bench and for bisecting perf regressions in production.
-  static TagEngineMode mode_from_env();
 
   // ---- Diagnostics (tests and the bench) ----
   const match::LiteralScanner& literal_scanner() const { return *literals_; }
@@ -103,12 +84,6 @@ class TagEngine {
     bool never = false;  ///< empty predicate: matches nothing
   };
 
-  /// Per-rule Pike-VM loop, optionally restricted to a candidate
-  /// bitset (the naive and prefilter modes).
-  std::optional<TagResult> tag_line_scan(std::string_view line,
-                                         match::MatchScratch& scratch,
-                                         const std::uint64_t* candidates) const;
-
   /// Computes (or fetches from the scratch's CandidateCache) the
   /// candidate-rule bitset for the current literal-found bitset.
   /// Returns a pointer valid until the scratch's next tag_line call;
@@ -117,7 +92,6 @@ class TagEngine {
                                      bool& any_candidate) const;
 
   RuleSet rules_;
-  TagEngineMode mode_;
   /// Unique per-engine id guarding scratch-resident caches (the
   /// dfa_owner pattern; an address could be reused after destruction).
   std::uint64_t instance_id_ = 0;

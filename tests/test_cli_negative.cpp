@@ -227,6 +227,18 @@ TEST_F(CliNegativeTest, PredictRestoreFromNonPredictCheckpointStillWorks) {
       << err_.str();
 }
 
+// ---- serve integer flags ----
+
+TEST_F(CliNegativeTest, ServeLoopShardsRejectsTrailingJunk) {
+  EXPECT_EQ(run_tokens({"serve", "--tcp", "0", "--loop-shards", "4x"}), 2);
+  expect_one_line_error("--loop-shards wants 1..64 or auto, got '4x'");
+}
+
+TEST_F(CliNegativeTest, ServeTenantRejectsMalformedYear) {
+  EXPECT_EQ(run_tokens({"serve", "--tcp", "0", "--tenant", "a:bgl:20x5"}), 2);
+  expect_one_line_error("bad year in --tenant 'a:bgl:20x5'");
+}
+
 // ---- Distributed study commands (study --split-by, worker, merge) ----
 
 TEST_F(CliNegativeTest, StudySplitRejectsZeroSplits) {

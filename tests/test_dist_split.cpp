@@ -240,11 +240,9 @@ TEST(DistSplitProperty, SliceCounterDeltasFoldToBatchTotals) {
     const std::uint64_t fold_v = f == folded.end() ? 0 : f->second;
     EXPECT_EQ(fold_v, batch_v) << name;
   }
-#ifndef WSS_OBS_OFF
   const auto events = batch.find("wss_pipeline_events_total");
   ASSERT_NE(events, batch.end());
   EXPECT_EQ(events->second, total_events);
-#endif
 }
 
 // Serialization round-trip: a real chunk partial must survive

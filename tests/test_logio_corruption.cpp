@@ -116,7 +116,6 @@ TEST_F(LogioCorruptionTest, StreamPipelineAccountsIdentically) {
   EXPECT_EQ(snap.invalid_timestamp_lines, kInvalidStamps);
   EXPECT_EQ(snap.physical_bytes, expected_bytes);
 
-#ifndef WSS_OBS_OFF
   // The obs counters must agree with the hand count, not merely with
   // each other.
   const auto counters = obs::registry().snapshot();
@@ -130,7 +129,6 @@ TEST_F(LogioCorruptionTest, StreamPipelineAccountsIdentically) {
       kInvalidStamps);
   EXPECT_EQ(counters.counter_or_zero("wss_pipeline_bytes_total"),
             expected_bytes);
-#endif
 }
 
 }  // namespace

@@ -158,7 +158,8 @@ TEST_F(NetServerTest, TcpPortKeyedListenerTakesDataFromByteOne) {
   wait_status_contains(
       "\"name\":\"fixed\",\"system\":\"liberty\",\"delivered\":2");
 
-  const ServeTenantReport* t = find_tenant(stop(), "fixed");
+  const ServeReport report = stop();
+  const ServeTenantReport* t = find_tenant(report, "fixed");
   ASSERT_NE(t, nullptr);
   EXPECT_EQ(t->delivered, 2u);
   EXPECT_EQ(t->ingested, 2u);
@@ -182,7 +183,8 @@ TEST_F(NetServerTest, LenPrefixHandshakeSwitchesDecoder) {
   wait_status_contains(
       "\"name\":\"lenf\",\"system\":\"liberty\",\"delivered\":2");
 
-  const ServeTenantReport* t = find_tenant(stop(), "lenf");
+  const ServeReport report = stop();
+  const ServeTenantReport* t = find_tenant(report, "lenf");
   ASSERT_NE(t, nullptr);
   EXPECT_EQ(t->delivered, 2u);
   EXPECT_EQ(t->ingested, 2u);
@@ -204,7 +206,8 @@ TEST_F(NetServerTest, UdpDatagramIngest) {
   }
   wait_status_contains("\"name\":\"u\",\"system\":\"liberty\",\"delivered\":4");
 
-  const ServeTenantReport* t = find_tenant(stop(), "u");
+  const ServeReport report = stop();
+  const ServeTenantReport* t = find_tenant(report, "u");
   ASSERT_NE(t, nullptr);
   EXPECT_EQ(t->delivered, 4u);
   EXPECT_EQ(t->dropped, 0u);
@@ -230,7 +233,8 @@ TEST_F(NetServerTest, StalledTenantDropsAreAccountedNeverSilent) {
   wait_status_contains(
       "\"name\":\"stall\",\"system\":\"liberty\",\"delivered\":200");
 
-  const ServeTenantReport* t = find_tenant(stop(), "stall");
+  const ServeReport report = stop();
+  const ServeTenantReport* t = find_tenant(report, "stall");
   ASSERT_NE(t, nullptr);
   EXPECT_EQ(t->delivered, 200u);
   EXPECT_GT(t->dropped, 0u);
@@ -258,7 +262,8 @@ TEST_F(NetServerTest, TcpBackpressurePausesInsteadOfDropping) {
   wait_status_contains(
       "\"name\":\"slowtcp\",\"system\":\"liberty\",\"delivered\":500");
 
-  const ServeTenantReport* t = find_tenant(stop(), "slowtcp");
+  const ServeReport report = stop();
+  const ServeTenantReport* t = find_tenant(report, "slowtcp");
   ASSERT_NE(t, nullptr);
   EXPECT_EQ(t->delivered, 500u);
   EXPECT_EQ(t->dropped, 0u) << "TCP into a full ring must pause, not evict";
@@ -462,6 +467,36 @@ TEST_F(NetServerTest, OversizedLinesAreCountedNotDelivered) {
   EXPECT_EQ(report.oversized, 1u);
 }
 
+TEST_F(NetServerTest, HandshakeRejectsMalformedYear) {
+  ServeOptions opts;
+  opts.tcp.push_back({0, ""});
+  opts.tenant_defaults = tenant("", parse::SystemId::kLiberty);
+  opts.allow_handshake_tenants = true;
+  start(std::move(opts));
+  const std::uint16_t port = server_->tcp_port(0);
+
+  // Non-numeric, negative, and out-of-int-range years must be refused,
+  // not silently read as year 0 or a wrapped value.
+  for (const char* year : {"abc", "-1", "99999999999"}) {
+    Fd c = connect_tcp(resolve_ipv4("127.0.0.1", port));
+    const std::string bad =
+        std::string("tenant=y system=liberty year=") + year + "\nline\n";
+    write_all(c.get(), bad.data(), bad.size());
+  }
+  {  // A well-formed year still opens the tenant.
+    Fd c = connect_tcp(resolve_ipv4("127.0.0.1", port));
+    const std::string ok = "tenant=good system=liberty year=2004\nline\n";
+    write_all(c.get(), ok.data(), ok.size());
+  }
+  wait_status_contains("\"protocol_errors_total\":3");
+  wait_status_contains(
+      "\"name\":\"good\",\"system\":\"liberty\",\"delivered\":1");
+
+  const ServeReport report = stop();
+  EXPECT_EQ(report.protocol_errors, 3u);
+  EXPECT_EQ(find_tenant(report, "y"), nullptr);
+}
+
 TEST_F(NetServerTest, RejectsUnknownTenantWhenHandshakeTenantsDisabled) {
   ServeOptions opts;
   opts.tcp.push_back({0, ""});
@@ -529,7 +564,6 @@ TEST_F(NetServerTest, DrainWritesCheckpointsLoadableByWssStream) {
   fs::remove_all(dir);
 }
 
-#ifndef WSS_PREDICT_OFF
 TEST_F(NetServerTest, PredictCountersReconcileWithInjectedIncidents) {
   // A predict-enabled tenant fed a rendered Liberty stream over
   // loopback TCP: the per-tenant wss_predict_* counters must equal
@@ -610,7 +644,6 @@ TEST_F(NetServerTest, PredictCountersReconcileWithInjectedIncidents) {
   EXPECT_EQ(hits + misses, want.predict_incidents)
       << "an incident went unaccounted (neither hit nor miss)";
 }
-#endif  // WSS_PREDICT_OFF
 
 TEST_F(NetServerTest, BindRequiresAnIngestListener) {
   ServeOptions opts;

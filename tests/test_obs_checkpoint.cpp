@@ -69,7 +69,6 @@ TEST(ObsCheckpoint, RestoreAndFinishReportsIdenticalMetrics) {
   const CounterTable full_counters = comparable_counters();
   const GaugeTable full_gauges = obs::registry().gauge_values();
 
-#ifndef WSS_OBS_OFF
   // Sanity: the reference run actually counted.
   const auto events_total = [&] {
     for (const auto& [n, v] : full_counters) {
@@ -78,7 +77,6 @@ TEST(ObsCheckpoint, RestoreAndFinishReportsIdenticalMetrics) {
     return std::uint64_t{0};
   }();
   EXPECT_EQ(events_total, events.size());
-#endif
 
   // Interrupted run: ingest to the cut, save, then simulate a process
   // restart by zeroing the registry before restore.

@@ -76,12 +76,10 @@ TEST_F(ObsCliMetricsTest, StudyWritesJsonSnapshot) {
   EXPECT_NE(json.find("\"wss_pipeline_events_total\""), std::string::npos);
   EXPECT_NE(json.find("\"wss_filter_offered_total\""), std::string::npos);
   EXPECT_NE(json.find("\"wss_tag_lines_total\""), std::string::npos);
-#ifndef WSS_OBS_OFF
   // The cmd_study span closed before the snapshot, so it appears with
   // a real count (an open span would read 0).
   EXPECT_NE(json.find("\"path\": \"cmd_study\", \"count\": 1"),
             std::string::npos);
-#endif
 }
 
 TEST_F(ObsCliMetricsTest, StreamWritesPrometheusSnapshot) {
@@ -97,7 +95,6 @@ TEST_F(ObsCliMetricsTest, StreamWritesPrometheusSnapshot) {
             std::string::npos);
   EXPECT_NE(prom.find("wss_stream_ingest_latency_seconds_bucket"),
             std::string::npos);
-#ifndef WSS_OBS_OFF
   // One event stream, counted once by each layer: the stream engine
   // and the shared pipeline reducer must agree exactly.
   const long long stream_events = prom_value(prom, "wss_stream_events_total");
@@ -108,7 +105,6 @@ TEST_F(ObsCliMetricsTest, StreamWritesPrometheusSnapshot) {
   EXPECT_EQ(prom_value(prom, "wss_filter_offered_total"),
             prom_value(prom, "wss_filter_admitted_total") +
                 prom_value(prom, "wss_filter_suppressed_total"));
-#endif
 }
 
 TEST_F(ObsCliMetricsTest, AnalyzeWritesMetricsAfterFileRun) {
@@ -124,20 +120,16 @@ TEST_F(ObsCliMetricsTest, AnalyzeWritesMetricsAfterFileRun) {
   const std::string json = slurp(path);
   EXPECT_NE(json.find("\"wss_tag_lines_total\""), std::string::npos);
   EXPECT_NE(json.find("\"wss_filter_offered_total\""), std::string::npos);
-#ifndef WSS_OBS_OFF
   EXPECT_NE(json.find("\"path\": \"analyze_pass\", \"count\": 1"),
             std::string::npos);
-#endif
 }
 
 TEST_F(ObsCliMetricsTest, TablesWritesMetrics) {
   const auto path = (dir_ / "tables.prom").string();
   ASSERT_EQ(run_tokens({"tables", "--which", "1", "--metrics", path}), 0);
   EXPECT_TRUE(fs::exists(path));
-#ifndef WSS_OBS_OFF
   EXPECT_NE(slurp(path).find("wss_span_hits_total{path=\"cmd_tables\"}"),
             std::string::npos);
-#endif
 }
 
 }  // namespace

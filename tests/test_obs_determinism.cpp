@@ -105,9 +105,6 @@ std::uint64_t value_of(const CounterTable& t, std::string_view name) {
 class ObsDeterminismTest : public ::testing::TestWithParam<parse::SystemId> {};
 
 TEST_P(ObsDeterminismTest, CountersInvariantAcrossThreadCounts) {
-#ifdef WSS_OBS_OFF
-  GTEST_SKIP() << "instrumentation compiled out (WSS_OBS_OFF)";
-#endif
   const parse::SystemId id = GetParam();
   const CounterTable serial = batch_run(id, 1);
 
@@ -126,9 +123,6 @@ TEST_P(ObsDeterminismTest, CountersInvariantAcrossThreadCounts) {
 }
 
 TEST_P(ObsDeterminismTest, CountersInvariantBatchVersusStream) {
-#ifdef WSS_OBS_OFF
-  GTEST_SKIP() << "instrumentation compiled out (WSS_OBS_OFF)";
-#endif
   const parse::SystemId id = GetParam();
   const CounterTable batch = batch_run(id, 4);
   const CounterTable stream = stream_run(id);

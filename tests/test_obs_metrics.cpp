@@ -3,9 +3,7 @@
 // exporters.
 //
 // The registry is process-global, so every test either uses names
-// private to itself or calls registry().reset() first. Tests that
-// assert live instrumentation values are skipped under -DWSS_OBS_OFF
-// (the kill switch turns inc/set/observe into no-ops by design).
+// private to itself or calls registry().reset() first.
 #include "obs/metrics.hpp"
 
 #include <gtest/gtest.h>
@@ -24,15 +22,7 @@ namespace {
 
 namespace fs = std::filesystem;
 
-#ifdef WSS_OBS_OFF
-#define SKIP_IF_OBS_OFF() \
-  GTEST_SKIP() << "instrumentation compiled out (WSS_OBS_OFF)"
-#else
-#define SKIP_IF_OBS_OFF() (void)0
-#endif
-
 TEST(ObsCounter, IncAndSet) {
-  SKIP_IF_OBS_OFF();
   Counter& c = registry().counter("wss_test_inc_total");
   c.set(0);
   c.inc();
@@ -43,7 +33,6 @@ TEST(ObsCounter, IncAndSet) {
 }
 
 TEST(ObsCounter, ConcurrentIncrementsSumExactly) {
-  SKIP_IF_OBS_OFF();
   Counter& c = registry().counter("wss_test_concurrent_total");
   c.set(0);
   constexpr int kThreads = 8;
@@ -61,18 +50,14 @@ TEST(ObsCounter, ConcurrentIncrementsSumExactly) {
 
 TEST(ObsGauge, SetAddRestore) {
   Gauge& g = registry().gauge("wss_test_gauge");
-  g.restore(0);  // restore() is live even under WSS_OBS_OFF
-#ifndef WSS_OBS_OFF
   g.set(10);
   g.add(-3);
   EXPECT_EQ(g.value(), 7);
-#endif
-  g.restore(-5);
+  g.set(-5);
   EXPECT_EQ(g.value(), -5);
 }
 
 TEST(ObsHistogram, BucketAssignment) {
-  SKIP_IF_OBS_OFF();
   Histogram& h = registry().histogram("wss_test_hist", {1.0, 10.0, 100.0});
   ASSERT_EQ(h.bounds().size(), 3u);
   h.observe(0.5);    // <= 1
@@ -130,8 +115,7 @@ TEST(ObsRegistry, CounterValuesSortedByName) {
 }
 
 TEST(ObsRegistry, SetCounterCreatesAndOverwrites) {
-  // set_counter is the checkpoint-restore path: compiled in (and
-  // observable) even under WSS_OBS_OFF.
+  // set_counter is the checkpoint-restore path.
   registry().set_counter("wss_test_restored_total", 123);
   EXPECT_EQ(registry().counter("wss_test_restored_total").value(), 123u);
   registry().set_counter("wss_test_restored_total", 5);
@@ -172,7 +156,6 @@ TEST(ObsExport, JsonCarriesSchemaAndValues) {
 }
 
 TEST(ObsExport, PrometheusTextFormat) {
-  SKIP_IF_OBS_OFF();
   registry().reset();
   registry().set_counter("wss_prom_c_total", 5);
   registry().set_counter("wss_prom_l_total{category=\"1\"}", 2);

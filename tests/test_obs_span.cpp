@@ -15,13 +15,6 @@
 namespace wss::obs {
 namespace {
 
-#ifdef WSS_OBS_OFF
-#define SKIP_IF_OBS_OFF() \
-  GTEST_SKIP() << "instrumentation compiled out (WSS_OBS_OFF)"
-#else
-#define SKIP_IF_OBS_OFF() (void)0
-#endif
-
 const SpanStats* find_span(const MetricsSnapshot& s, std::string_view path) {
   for (const SpanStats& sp : s.spans) {
     if (sp.path == path) return &sp;
@@ -30,7 +23,6 @@ const SpanStats* find_span(const MetricsSnapshot& s, std::string_view path) {
 }
 
 TEST(ObsSpan, NestedSpansMergeIntoPaths) {
-  SKIP_IF_OBS_OFF();
   registry().reset();
   {
     Span outer("span_outer");
@@ -51,7 +43,6 @@ TEST(ObsSpan, NestedSpansMergeIntoPaths) {
 }
 
 TEST(ObsSpan, RepeatedRunsAccumulateWithoutNewPaths) {
-  SKIP_IF_OBS_OFF();
   registry().reset();
   for (int i = 0; i < 5; ++i) {
     Span pass("span_pass");
@@ -67,7 +58,6 @@ TEST(ObsSpan, RepeatedRunsAccumulateWithoutNewPaths) {
 }
 
 TEST(ObsSpan, ThreadsMergeByNameChain) {
-  SKIP_IF_OBS_OFF();
   registry().reset();
   constexpr int kThreads = 4;
   {
@@ -90,7 +80,6 @@ TEST(ObsSpan, ThreadsMergeByNameChain) {
 }
 
 TEST(ObsSpan, ResetZeroesCountsInPlace) {
-  SKIP_IF_OBS_OFF();
   { Span s("span_reset_me"); }
   registry().reset();
   const MetricsSnapshot snap = registry().snapshot();
@@ -101,13 +90,13 @@ TEST(ObsSpan, ResetZeroesCountsInPlace) {
   // Nodes survive the reset: re-entering the span works and counts
   // from zero again.
   { Span s("span_reset_me"); }
-  const SpanStats* again = find_span(registry().snapshot(), "span_reset_me");
+  const MetricsSnapshot after = registry().snapshot();
+  const SpanStats* again = find_span(after, "span_reset_me");
   ASSERT_NE(again, nullptr);
   EXPECT_EQ(again->count, 1u);
 }
 
 TEST(ObsSpan, PrometheusFlattensSpansToCounters) {
-  SKIP_IF_OBS_OFF();
   registry().reset();
   {
     Span outer("span_prom");

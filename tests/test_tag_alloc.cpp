@@ -1,6 +1,6 @@
 // Steady-state allocation contract of the tag path: after a warm-up
 // pass (scratch buffers sized, lazy-DFA cache populated), tagging a
-// line allocates NOTHING -- in any engine mode. The pipeline calls
+// line allocates NOTHING. The pipeline calls
 // tag_line hundreds of millions of times; a single per-line allocation
 // is the difference between memory-bandwidth-bound and
 // allocator-bound.
@@ -78,20 +78,17 @@ std::size_t tag_pass(const TagEngine& engine,
   return hits;
 }
 
-class TagAllocTest : public ::testing::TestWithParam<TagEngineMode> {};
-
-TEST_P(TagAllocTest, SteadyStateTaggingAllocatesNothing) {
+TEST(TagAllocTest, SteadyStateTaggingAllocatesNothing) {
   const std::vector<std::string> lines = corpus();
   ASSERT_FALSE(lines.empty());
-  const TagEngine engine(build_ruleset(parse::SystemId::kBlueGeneL),
-                         GetParam());
+  const TagEngine engine(build_ruleset(parse::SystemId::kBlueGeneL));
   match::MatchScratch scratch;
   // The metrics flusher rides the same hot loop in production; it must
   // hold the zero-allocation bar too (handles bind at construction).
   TagMetricsFlusher flusher;
 
   // Warm-up: grows every scratch buffer to its high-water mark and
-  // (in multi mode) builds every DFA state this corpus ever visits.
+  // builds every DFA state this corpus ever visits.
   const std::size_t hits = tag_pass(engine, lines, scratch);
   flusher.flush(scratch);
 
@@ -133,8 +130,7 @@ TEST(TagAllocEndToEnd, DoubledCorpusAddsZeroAllocations) {
     std::ofstream(twice, std::ios::binary) << text << text;
   }
 
-  const TagEngine engine(build_ruleset(parse::SystemId::kBlueGeneL),
-                         TagEngineMode::kMulti);
+  const TagEngine engine(build_ruleset(parse::SystemId::kBlueGeneL));
   const auto pass = [&](const fs::path& p) -> std::pair<std::uint64_t,
                                                         std::size_t> {
     match::MatchScratch scratch;
@@ -167,21 +163,6 @@ TEST(TagAllocEndToEnd, DoubledCorpusAddsZeroAllocations) {
       << "the doubled corpus cost " << (allocs_twice - allocs_once)
       << " extra allocations across " << lines.size() << " extra lines";
 }
-
-INSTANTIATE_TEST_SUITE_P(AllModes, TagAllocTest,
-                         ::testing::Values(TagEngineMode::kNaive,
-                                           TagEngineMode::kPrefilter,
-                                           TagEngineMode::kMulti),
-                         [](const auto& info) {
-                           switch (info.param) {
-                             case TagEngineMode::kNaive:
-                               return "naive";
-                             case TagEngineMode::kPrefilter:
-                               return "prefilter";
-                             default:
-                               return "multi";
-                           }
-                         });
 
 }  // namespace
 }  // namespace wss::tag
