@@ -3,11 +3,13 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <condition_variable>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <sstream>
 #include <thread>
 
@@ -168,19 +170,28 @@ class SignalDrain {
  public:
   SignalDrain() {
     net::ShutdownSignal::install();
+    // A signal handler cannot notify a condition variable, so the
+    // watcher still polls the flag every 50 ms; the wait is on done_
+    // only so the destructor ends it at once.
     watcher_ = std::thread([this] {
-      while (!done_.load(std::memory_order_relaxed)) {
+      std::unique_lock<std::mutex> lock(mu_);
+      while (!done_) {
         if (net::ShutdownSignal::stop_requested()) {
           cancel_.store(true, std::memory_order_relaxed);
           return;
         }
-        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        done_cv_.wait_for(lock, std::chrono::milliseconds(50),
+                          [this] { return done_; });
       }
     });
   }
 
   ~SignalDrain() {
-    done_.store(true, std::memory_order_relaxed);
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      done_ = true;
+    }
+    done_cv_.notify_one();
     watcher_.join();
     net::ShutdownSignal::uninstall();
   }
@@ -195,7 +206,9 @@ class SignalDrain {
 
  private:
   std::atomic<bool> cancel_{false};
-  std::atomic<bool> done_{false};
+  std::mutex mu_;
+  std::condition_variable done_cv_;
+  bool done_ = false;  ///< guarded by mu_
   std::thread watcher_;
 };
 

@@ -7,7 +7,8 @@
 // scale without a dispatch hop or any shard-to-shard locking. A shard
 // owns its accepted connections end to end -- the only cross-thread
 // touch points are the tenants' rings (their own locks, taken once per
-// batch) and relaxed stats atomics. Socket kinds per shard: TCP
+// batch), the tenants' resume-waiter masks, and relaxed stats atomics.
+// Socket kinds per shard: TCP
 // listeners (length- or newline-framed log lines, routed to a tenant by
 // the listener's binding or by a `tenant=` handshake line) and UDP
 // listeners (syslog-over-UDP datagrams, port-keyed; one sender's
@@ -28,8 +29,12 @@
 //   * TCP: before a decoded frame is pushed, the loop checks the
 //     tenant's ring for room; a full ring pauses the connection
 //     (EPOLLIN removed, bytes stay in the kernel buffer, TCP flow
-//     control pushes back to the sender). Nothing is evicted for TCP
-//     traffic, so a TCP-fed tenant is lossless end to end.
+//     control pushes back to the sender). The tenant's consumer wakes
+//     the pausing shard through its wake pipe once the ring drains to
+//     half (Tenant::watch_resume), and the shard resumes the
+//     connection on that wake rather than on a timer. Nothing is
+//     evicted for TCP traffic, so a TCP-fed tenant is lossless end to
+//     end.
 //   * UDP: datagrams cannot be deferred; a full ring evicts
 //     oldest-first through the IngestRing's counted drop path. Every
 //     eviction shows up in wss_net_dropped_total{tenant=...} -- never
@@ -88,7 +93,10 @@ struct ServeOptions {
 
   std::size_t max_frame = 1 << 20;  ///< mirrors the reader's line guard
   int drain_grace_ms = 5000;        ///< connection EOF budget at shutdown
-  int poll_ms = 50;                 ///< event-loop tick (pause/resume scan)
+  /// epoll_wait timeout: bounds how late a loop notices its drain
+  /// deadline and publishes ring drops. Paused connections do not
+  /// wait for it; the tenant consumer wakes their shard.
+  int poll_ms = 50;
 
   /// Event-loop shards sharing every ingest port via SO_REUSEPORT.
   /// 1 = the classic single loop; 0 = auto (hardware threads, capped

@@ -1,5 +1,6 @@
 #include "net/tenant.hpp"
 
+#include <bit>
 #include <chrono>
 
 #include "util/strings.hpp"
@@ -70,7 +71,8 @@ Tenant::Tenant(const TenantConfig& cfg)
 
 Tenant::~Tenant() { close_and_join(); }
 
-void Tenant::start() {
+void Tenant::start(ShardWaker wake) {
+  wake_ = std::move(wake);
   consumer_ = std::thread([this] { consume(); });
 }
 
@@ -125,6 +127,9 @@ void Tenant::consume() {
   for (;;) {
     const std::size_t got = ring_.pop_many_swap(batch, kConsumeBatch);
     if (got == 0) break;
+    // Wake paused producers before ingesting, so their refill overlaps
+    // this batch's work.
+    wake_resume_waiters();
     for (std::size_t i = 0; i < got; ++i) {
       stream::StreamItem& item = batch[i];
       if (cfg_.ingest_delay_us > 0) {
@@ -154,6 +159,17 @@ void Tenant::consume() {
   }
   pipeline_.finish();
   publish_predict_stats();
+}
+
+void Tenant::wake_resume_waiters() {
+  // The mask load comes after the pop released the ring lock; that is
+  // the consumer's half of the ordering documented at watch_resume.
+  if (resume_waiters_.load() == 0 || !resume_ready()) return;
+  std::uint64_t mask = resume_waiters_.exchange(0);
+  while (mask != 0) {
+    wake_(static_cast<std::size_t>(std::countr_zero(mask)));
+    mask &= mask - 1;
+  }
 }
 
 void Tenant::publish_predict_stats() {

@@ -17,6 +17,13 @@
 //     batch.
 //   * The consumer thread owns the pipeline exclusively until
 //     close_and_join() returns.
+//   * The consumer also writes event-loop shards' wake pipes: a shard
+//     that pauses a connection on this tenant's full ring sets its bit
+//     in resume_waiters_ (watch_resume), and after each pop that
+//     leaves the ring at or below half the consumer clears the mask
+//     and calls the server's ShardWaker once per flagged shard. That
+//     wake, not the loop's timer, is what resumes a paused TCP
+//     connection.
 //   * The live stats (ingested/admitted/watermark) are relaxed atomics
 //     maintained by the consumer, readable from any thread -- they
 //     feed /status while ingest is running.
@@ -33,6 +40,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -63,6 +71,10 @@ struct TenantConfig {
   util::TimeUs predict_horizon_us = 10 * util::kUsPerMin;
 };
 
+/// Wakes event-loop shard `shard` (one byte on its wake pipe). Called
+/// from the tenant's consumer thread.
+using ShardWaker = std::function<void(std::size_t shard)>;
+
 class Tenant {
  public:
   explicit Tenant(const TenantConfig& cfg);
@@ -71,15 +83,28 @@ class Tenant {
   Tenant(const Tenant&) = delete;
   Tenant& operator=(const Tenant&) = delete;
 
-  /// Spawns the consumer thread. Call once.
-  void start();
+  /// Spawns the consumer thread, which calls `wake` for every shard
+  /// registered through watch_resume once the ring has drained. Call
+  /// once.
+  void start(ShardWaker wake);
 
   // ---- Event-loop side (any shard) ----
 
-  /// True while the ring has room for one more line. Advisory only
-  /// under sharding (another shard may take the slot); the lossless
-  /// admission decision is try_enqueue_batch's return value.
-  bool has_room() const { return ring_.size() < ring_.capacity(); }
+  /// True once the ring has drained to half: the resume threshold for
+  /// a paused TCP connection (hysteresis: pause at full, resume at
+  /// half, so a borderline ring doesn't flap every frame). Reads the
+  /// occupancy under the ring lock.
+  bool resume_ready() const { return ring_.size() <= ring_.capacity() / 2; }
+
+  /// Registers shard `shard` (< 64) for a wake once the ring is
+  /// resume_ready(). Call it *before* checking resume_ready(): either
+  /// that check sees the drained ring, or the ring still holds items
+  /// whose later pop is ordered after this call by the ring lock, and
+  /// the consumer's mask read after that pop sees the bit. No wake is
+  /// lost between the two.
+  void watch_resume(std::size_t shard) {
+    resume_waiters_.fetch_or(std::uint64_t{1} << shard);
+  }
 
   /// Next per-tenant stream index for a StreamItem under construction.
   std::uint64_t next_index() {
@@ -171,11 +196,16 @@ class Tenant {
 
  private:
   void consume();
+  void wake_resume_waiters();
   void publish_predict_stats();
 
   TenantConfig cfg_;
   stream::IngestRing ring_;
   stream::StreamPipeline pipeline_;
+  ShardWaker wake_;
+  /// One bit per event-loop shard waiting for ring room (shards are
+  /// capped at 64). Shards set bits, only the consumer clears them.
+  std::atomic<std::uint64_t> resume_waiters_{0};
   std::thread consumer_;
   bool joined_ = false;
 
