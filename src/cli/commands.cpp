@@ -295,8 +295,8 @@ void print_usage(std::ostream& os) {
         "             --system NAME; source: simulated replay (default;\n"
         "             [--seed N] [--cap N] [--chatter N] [--speed N]) or\n"
         "             --in PATH (parsed log, [--year Y])\n"
-        "             [--threshold SEC] [--window SEC] [--queue N]\n"
-        "             [--policy block|drop-oldest] [--refresh N]\n"
+        "             [--threshold SEC] [--window SEC] [--refresh N]\n"
+        "             [--queue N] [--policy block|drop-oldest] (replay only)\n"
         "             [--checkpoint PATH] [--restore PATH]\n"
         "             [--max-events N] [--emit PATH]\n"
         "             [--predict]  online failure prediction: mines\n"
@@ -796,9 +796,11 @@ int cmd_stream(const Args& args, std::ostream& out, std::ostream& err) {
   std::uint64_t ingested = 0;
   bool truncated = false;
 
-  stream::IngestRing ring(static_cast<std::size_t>(queue_cap), policy);
+  // Only the replay source has a ring (and so can drop lines).
+  std::optional<stream::IngestRing> ring;
+  const auto dropped = [&ring] { return ring ? ring->dropped() : 0; };
 
-  // SIGINT/SIGTERM request a graceful drain: stop the producer, finish
+  // SIGINT/SIGTERM request a graceful drain: stop the source, finish
   // what is in flight, checkpoint if asked, and print the tables --
   // the same contract `wss serve` gives its tenants.
   SignalDrain drain;
@@ -808,7 +810,7 @@ int cmd_stream(const Args& args, std::ostream& out, std::ostream& err) {
       return;
     }
     auto snap = pipeline.snapshot();
-    snap.dropped = ring.dropped();
+    snap.dropped = dropped();
     const double secs =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       wall_start)
@@ -818,10 +820,10 @@ int cmd_stream(const Args& args, std::ostream& out, std::ostream& err) {
         << "\n";
   };
 
-  std::thread producer;
   try {
     if (!in_path) {
-      // Simulated source: paced replay of the generator's stream.
+      // Simulated source: the replayer renders and paces lines on its
+      // own thread and hands them over a ring (--queue, --policy).
       const sim::Simulator simulator(*system, sopts);
       const std::size_t total = simulator.events().size();
       if (resume > total) {
@@ -841,77 +843,72 @@ int cmd_stream(const Args& args, std::ostream& out, std::ostream& err) {
       ropts.end = end;
       ropts.cancel = drain.cancel_flag();
       const sim::Replayer replayer(simulator, ropts);
-      producer = std::thread([&replayer, &ring, &drain] {
+      ring.emplace(static_cast<std::size_t>(queue_cap), policy);
+      std::thread producer([&replayer, &ring, &drain] {
         replayer.run([&ring, &drain](std::size_t i, const sim::SimEvent& e,
                                      std::string&& line) {
           if (drain.stopped()) return false;
-          return ring.push({i, e, std::move(line)});
+          return ring->push({i, e, std::move(line)});
         });
-        ring.close();
+        ring->close();
       });
-      while (auto item = ring.pop()) {
-        pipeline.ingest(item->event, item->line);
-        ++ingested;
-        tick();
-        if (drain.stopped()) {
-          truncated = true;
-          break;
+      // Closing and draining the ring unblocks a producer stuck in
+      // push; it is joined before the replayer it reads goes away.
+      const auto stop_producer = [&] {
+        ring->close();
+        while (ring->try_pop()) {
         }
-      }
-      if (truncated) {
-        ring.close();
-        while (ring.try_pop()) {  // unblock a producer stuck in push
-        }
-      }
-      producer.join();
-    } else {
-      // File source: line-delimited log, optionally stdin ("-").
-      // InputBuffer mmaps plain files (zero-copy; WSS_MMAP=0 forces
-      // the read() path) and drains pipes via read().
-      logio::InputBuffer input = *in_path == "-"
-                                     ? logio::InputBuffer::from_fd(0)
-                                     : logio::InputBuffer::open(*in_path);
-      producer = std::thread([&ring, &resume, input = std::move(input)] {
-        const std::string_view text = input.view();
-        const char* p = text.data();
-        const char* const end = p + text.size();
-        std::uint64_t index = 0;
-        // Manual split (not for_each_line) so a closed ring can stop
-        // the scan early; getline semantics otherwise.
-        while (p != end) {
-          const char* nl = simd::find_byte(p, end, '\n');
-          const std::string_view line(p, static_cast<std::size_t>(nl - p));
-          p = nl == end ? end : nl + 1;
-          if (index++ < resume) continue;  // checkpoint resume skip
-          if (!ring.push({index - 1, sim::SimEvent{}, std::string(line)})) {
+        producer.join();
+      };
+      try {
+        while (auto item = ring->pop()) {
+          pipeline.ingest(item->event, item->line);
+          ++ingested;
+          tick();
+          if (drain.stopped()) {
+            truncated = true;
             break;
           }
         }
-        ring.close();
-      });
-      while (auto item = ring.pop()) {
-        pipeline.ingest_line(item->line);
-        ++ingested;
-        tick();
+      } catch (...) {
+        stop_producer();
+        throw;
+      }
+      stop_producer();
+    } else {
+      // File source: line-delimited log, optionally stdin ("-").
+      // InputBuffer mmaps plain files (zero-copy; WSS_MMAP=0 forces
+      // the read() path) and reads pipes to EOF, so the whole input is
+      // in memory up front: each line goes from the buffer straight to
+      // the engine on this thread, uncopied, and none is ever dropped.
+      const logio::InputBuffer input = *in_path == "-"
+                                           ? logio::InputBuffer::from_fd(0)
+                                           : logio::InputBuffer::open(*in_path);
+      const std::string_view text = input.view();
+      const simd::Level level = simd::active_level();
+      const char* p = text.data();
+      const char* const end = p + text.size();
+      // Manual split (not for_each_line) so the loop can stop early;
+      // getline semantics otherwise.
+      for (std::uint64_t index = 0; p != end; ++index) {
+        const char* nl = simd::find_byte(level, p, end, '\n');
+        const std::string_view line(p, static_cast<std::size_t>(nl - p));
+        p = nl == end ? end : nl + 1;
+        if (index < resume) continue;  // checkpoint resume skip
+        // Limits are tested before the next line: a run that stops at
+        // the input's end is complete, not truncated.
         if (drain.stopped() ||
             (max_events > 0 &&
              ingested >= static_cast<std::uint64_t>(max_events))) {
           truncated = true;
           break;
         }
+        pipeline.ingest_line(line);
+        ++ingested;
+        tick();
       }
-      if (truncated) {
-        ring.close();
-        while (ring.try_pop()) {  // a drained producer can exit
-        }
-      }
-      producer.join();
     }
   } catch (const std::exception& e) {
-    if (producer.joinable()) {
-      ring.close();
-      producer.join();
-    }
     err << "stream: " << e.what() << "\n";
     return 1;
   }
@@ -933,7 +930,7 @@ int cmd_stream(const Args& args, std::ostream& out, std::ostream& err) {
   }
 
   auto snap = pipeline.snapshot();
-  snap.dropped = ring.dropped();
+  snap.dropped = dropped();
   if (truncated) {
     out << util::format(
         "paused after %s events%s\n",

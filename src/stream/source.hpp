@@ -1,14 +1,18 @@
 // Bounded ingestion front-end for the streaming pipeline.
 //
-// A producer (paced replay, file tail, generator) pushes StreamItems
-// into a fixed-capacity ring; the engine pops them. Backpressure is
-// explicit and lossless by default: BackpressurePolicy::kBlock stalls
-// the producer when the consumer falls behind (the right choice when
-// the producer is replay and can wait). kDropOldest never blocks --
-// the ring evicts its oldest unconsumed items to make room and counts
-// every eviction, so a slow consumer under a live source degrades to a
-// sampled stream with an exact, queryable drop count. Nothing is ever
-// dropped silently.
+// A producer (the paced replayer of `wss stream`, a `wss serve`
+// connection) pushes StreamItems into a fixed-capacity ring; the
+// engine pops them. `wss stream --in` uses no ring: its input is
+// already in memory, so lines go to the engine inline and are never
+// dropped.
+//
+// Backpressure is explicit and lossless by default:
+// BackpressurePolicy::kBlock stalls the producer when the consumer
+// falls behind (the right choice when the producer is replay and can
+// wait). kDropOldest never blocks -- the ring evicts its oldest
+// unconsumed items to make room and counts every eviction, so a slow
+// consumer under a live source degrades to a sampled stream with an
+// exact, queryable drop count. Nothing is ever dropped silently.
 //
 // The ring is core::MpmcQueue -- the same bounded queue the parallel
 // batch pipeline uses for its work chunks -- with the lossy
@@ -24,9 +28,9 @@
 
 namespace wss::stream {
 
-/// One unit of ingestion: the event plus its rendered line. In file
-/// mode only `line` is meaningful (the event is synthesized by the
-/// engine after parsing).
+/// One unit of ingestion: the event plus its rendered line. From a
+/// network connection only `line` is meaningful (the event is
+/// synthesized by the engine after parsing).
 struct StreamItem {
   std::uint64_t index = 0;  ///< position in the source stream
   sim::SimEvent event;

@@ -10,6 +10,10 @@
 #include "cli/commands.hpp"
 #include "core/experiments.hpp"
 #include "core/study.hpp"
+#include "logio/input.hpp"
+#include "simd/split.hpp"
+#include "stream/pipeline.hpp"
+#include "stream/report.hpp"
 
 namespace wss::cli {
 namespace {
@@ -135,6 +139,84 @@ TEST_F(StreamCliTest, FileModeStreamsGeneratedLog) {
   // Deterministic in file mode too.
   ASSERT_EQ(run_tokens(tokens), 0);
   EXPECT_EQ(out_.str(), first);
+}
+
+TEST_F(StreamCliTest, FileModeIgnoresRingFlagsAndAnExactLimit) {
+  const auto log = (dir_ / "log.txt").string();
+  ASSERT_EQ(run_tokens({"generate", "--system", "liberty", "--out", log,
+                        "--cap", "400", "--chatter", "1000"}),
+            0);
+  const std::vector<std::string> base = {"stream", "--system", "liberty",
+                                         "--in", log};
+  ASSERT_EQ(run_tokens(base), 0);
+  const std::string full = out_.str();
+
+  // A limit the input exactly meets stops nothing: no pause line, and
+  // finish() still runs.
+  auto limited = base;
+  limited.insert(limited.end(),
+                 {"--max-events", std::to_string(file_lines(log).size())});
+  ASSERT_EQ(run_tokens(limited), 0);
+  EXPECT_EQ(out_.str(), full);
+
+  // --queue and --policy shape only the replay source: a file source
+  // never drops a line.
+  auto lossy = base;
+  lossy.insert(lossy.end(), {"--policy", "drop-oldest", "--queue", "1"});
+  ASSERT_EQ(run_tokens(lossy), 0);
+  EXPECT_EQ(out_.str(), full);
+}
+
+TEST_F(StreamCliTest, FileModeCheckpointResumeEqualsUninterrupted) {
+  const auto log = (dir_ / "log.txt").string();
+  ASSERT_EQ(run_tokens({"generate", "--system", "spirit", "--out", log,
+                        "--cap", "400", "--chatter", "2000"}),
+            0);
+  const std::vector<std::string> base = {"stream", "--system", "spirit",
+                                         "--in", log};
+  ASSERT_EQ(run_tokens(base), 0);
+  const std::string uninterrupted = out_.str();
+
+  const auto ck = (dir_ / "ck.wssc").string();
+  auto first_half = base;
+  first_half.insert(first_half.end(),
+                    {"--max-events", "1000", "--checkpoint", ck});
+  ASSERT_EQ(run_tokens(first_half), 0);
+  EXPECT_NE(out_.str().find("paused after 1,000 events"), std::string::npos);
+  ASSERT_TRUE(fs::exists(ck));
+
+  auto resumed = base;
+  resumed.insert(resumed.end(), {"--restore", ck});
+  ASSERT_EQ(run_tokens(resumed), 0);
+  EXPECT_EQ(out_.str(), uninterrupted);
+}
+
+TEST_F(StreamCliTest, FileModeMatchesPipelineOnEdgeCaseLines) {
+  const auto log = (dir_ / "log.txt").string();
+  ASSERT_EQ(run_tokens({"generate", "--system", "liberty", "--out", log,
+                        "--cap", "400", "--chatter", "1000"}),
+            0);
+  const auto lines = file_lines(log);
+  ASSERT_GE(lines.size(), 2u);
+  {
+    // An empty line, a CRLF line, and a final line with no newline.
+    std::ofstream os(log, std::ios::binary | std::ios::app);
+    os << '\n' << lines.front() << "\r\n" << lines.back();
+  }
+  ASSERT_EQ(run_tokens({"stream", "--system", "liberty", "--in", log,
+                        "--predict"}),
+            0);
+
+  stream::StreamPipelineOptions popts;
+  popts.strict_order = false;
+  popts.predict.enabled = true;
+  stream::StreamPipeline ref(parse::SystemId::kLiberty, popts);
+  const logio::InputBuffer input = logio::InputBuffer::open(log);
+  simd::for_each_line(input.view(),
+                      [&ref](std::string_view line) { ref.ingest_line(line); });
+  ref.finish();
+  EXPECT_EQ(ref.events(), lines.size() + 3);
+  EXPECT_EQ(out_.str(), stream::render_snapshot(ref.snapshot()));
 }
 
 TEST_F(StreamCliTest, GenerateReplayUnpacedMatchesBulkWrite) {
