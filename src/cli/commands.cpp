@@ -1,17 +1,13 @@
 #include "cli/commands.hpp"
 
-#include <atomic>
 #include <cerrno>
 #include <chrono>
-#include <condition_variable>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <sstream>
-#include <thread>
 
 #include "core/parallel.hpp"
 #include "core/report.hpp"
@@ -36,7 +32,6 @@
 #include "sim/replay.hpp"
 #include "stream/pipeline.hpp"
 #include "stream/report.hpp"
-#include "stream/source.hpp"
 #include "tag/engine.hpp"
 #include "tag/metrics.hpp"
 #include "tag/rulesets.hpp"
@@ -162,54 +157,18 @@ int write_metrics(const std::optional<std::string>& path, const char* cmd,
 
 /// The shared graceful-drain scope for the long-running commands
 /// (stream, serve, generate --sink): installs the SIGINT/SIGTERM/
-/// SIGHUP handlers and bridges the signal flag into a cancel atomic
-/// the replayer's paced waits poll. One instance per command
-/// invocation; the destructor restores the previous dispositions so
-/// in-process callers (tests) are unaffected.
+/// SIGHUP handlers for one command invocation; the destructor restores
+/// the previous dispositions so in-process callers (tests) are
+/// unaffected. The replayer's paced waits poll stop_requested directly
+/// (sim::ReplayOptions::cancel).
 class SignalDrain {
  public:
-  SignalDrain() {
-    net::ShutdownSignal::install();
-    // A signal handler cannot notify a condition variable, so the
-    // watcher still polls the flag every 50 ms; the wait is on done_
-    // only so the destructor ends it at once.
-    watcher_ = std::thread([this] {
-      std::unique_lock<std::mutex> lock(mu_);
-      while (!done_) {
-        if (net::ShutdownSignal::stop_requested()) {
-          cancel_.store(true, std::memory_order_relaxed);
-          return;
-        }
-        done_cv_.wait_for(lock, std::chrono::milliseconds(50),
-                          [this] { return done_; });
-      }
-    });
-  }
+  SignalDrain() { net::ShutdownSignal::install(); }
+  ~SignalDrain() { net::ShutdownSignal::uninstall(); }
+  SignalDrain(const SignalDrain&) = delete;
+  SignalDrain& operator=(const SignalDrain&) = delete;
 
-  ~SignalDrain() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      done_ = true;
-    }
-    done_cv_.notify_one();
-    watcher_.join();
-    net::ShutdownSignal::uninstall();
-  }
-
-  bool stopped() const {
-    return cancel_.load(std::memory_order_relaxed) ||
-           net::ShutdownSignal::stop_requested();
-  }
-
-  /// For sim::ReplayOptions::cancel (interrupts paced sleeps).
-  const std::atomic<bool>* cancel_flag() const { return &cancel_; }
-
- private:
-  std::atomic<bool> cancel_{false};
-  std::mutex mu_;
-  std::condition_variable done_cv_;
-  bool done_ = false;  ///< guarded by mu_
-  std::thread watcher_;
+  bool stopped() const { return net::ShutdownSignal::stop_requested(); }
 };
 
 /// Splits a comma-separated multi-value flag ("9000:a,9001:b").
@@ -294,9 +253,9 @@ void print_usage(std::ostream& os) {
         "  stream     run the online pipeline over a live event stream\n"
         "             --system NAME; source: simulated replay (default;\n"
         "             [--seed N] [--cap N] [--chatter N] [--speed N]) or\n"
-        "             --in PATH (parsed log, [--year Y])\n"
+        "             --in PATH (parsed log, [--year Y]); the engine\n"
+        "             reads either source inline and drops no line\n"
         "             [--threshold SEC] [--window SEC] [--refresh N]\n"
-        "             [--queue N] [--policy block|drop-oldest] (replay only)\n"
         "             [--checkpoint PATH] [--restore PATH]\n"
         "             [--max-events N] [--emit PATH]\n"
         "             [--predict]  online failure prediction: mines\n"
@@ -432,7 +391,7 @@ int cmd_generate(const Args& args, std::ostream& out, std::ostream& err) {
     }
     sim::ReplayOptions ropts;
     ropts.speed = speed;
-    ropts.cancel = drain.cancel_flag();
+    ropts.cancel = &net::ShutdownSignal::stop_requested;
     const sim::Replayer replayer(simulator, ropts);
     int rc = 0;
     try {
@@ -701,8 +660,6 @@ int cmd_stream(const Args& args, std::ostream& out, std::ostream& err) {
   const double threshold_s = args.get_double("threshold", 5.0);
   const double window_s = args.get_double("window", 3600.0);
   const double speed = args.get_double("speed", 0.0);
-  const std::int64_t queue_cap = args.get_int("queue", 1024);
-  const std::string policy_name = args.get_or("policy", "block");
   const std::int64_t refresh = args.get_int("refresh", 0);
   const auto checkpoint_path = args.get("checkpoint");
   const auto restore_path = args.get("restore");
@@ -718,17 +675,8 @@ int cmd_stream(const Args& args, std::ostream& out, std::ostream& err) {
     err << "--threshold and --window must be positive\n";
     return 2;
   }
-  if (speed < 0.0 || queue_cap < 1 || max_events < 0) {
-    err << "--speed must be >= 0, --queue >= 1, --max-events >= 0\n";
-    return 2;
-  }
-  stream::BackpressurePolicy policy;
-  if (policy_name == "block") {
-    policy = stream::BackpressurePolicy::kBlock;
-  } else if (policy_name == "drop-oldest") {
-    policy = stream::BackpressurePolicy::kDropOldest;
-  } else {
-    err << "--policy must be block or drop-oldest\n";
+  if (speed < 0.0 || max_events < 0) {
+    err << "--speed and --max-events must be >= 0\n";
     return 2;
   }
   if (checkpoint_path && restore_path && *checkpoint_path == *restore_path) {
@@ -796,10 +744,6 @@ int cmd_stream(const Args& args, std::ostream& out, std::ostream& err) {
   std::uint64_t ingested = 0;
   bool truncated = false;
 
-  // Only the replay source has a ring (and so can drop lines).
-  std::optional<stream::IngestRing> ring;
-  const auto dropped = [&ring] { return ring ? ring->dropped() : 0; };
-
   // SIGINT/SIGTERM request a graceful drain: stop the source, finish
   // what is in flight, checkpoint if asked, and print the tables --
   // the same contract `wss serve` gives its tenants.
@@ -809,8 +753,7 @@ int cmd_stream(const Args& args, std::ostream& out, std::ostream& err) {
     if (refresh <= 0 || ingested % static_cast<std::uint64_t>(refresh) != 0) {
       return;
     }
-    auto snap = pipeline.snapshot();
-    snap.dropped = dropped();
+    const auto snap = pipeline.snapshot();
     const double secs =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       wall_start)
@@ -822,8 +765,9 @@ int cmd_stream(const Args& args, std::ostream& out, std::ostream& err) {
 
   try {
     if (!in_path) {
-      // Simulated source: the replayer renders and paces lines on its
-      // own thread and hands them over a ring (--queue, --policy).
+      // Simulated source: the replayer renders and paces each line and
+      // hands it to the engine on this thread. A slow engine makes the
+      // replay fall behind; it never drops a line.
       const sim::Simulator simulator(*system, sopts);
       const std::size_t total = simulator.events().size();
       if (resume > total) {
@@ -835,46 +779,23 @@ int cmd_stream(const Args& args, std::ostream& out, std::ostream& err) {
         end = std::min<std::size_t>(
             total, resume + static_cast<std::size_t>(max_events));
       }
-      truncated = end < total;
 
       sim::ReplayOptions ropts;
       ropts.speed = speed;
       ropts.begin = static_cast<std::size_t>(resume);
       ropts.end = end;
-      ropts.cancel = drain.cancel_flag();
+      ropts.cancel = &net::ShutdownSignal::stop_requested;
       const sim::Replayer replayer(simulator, ropts);
-      ring.emplace(static_cast<std::size_t>(queue_cap), policy);
-      std::thread producer([&replayer, &ring, &drain] {
-        replayer.run([&ring, &drain](std::size_t i, const sim::SimEvent& e,
-                                     std::string&& line) {
-          if (drain.stopped()) return false;
-          return ring->push({i, e, std::move(line)});
-        });
-        ring->close();
+      replayer.run([&](std::size_t, const sim::SimEvent& e,
+                       std::string&& line) {
+        pipeline.ingest(e, line);
+        ++ingested;
+        tick();
+        return true;
       });
-      // Closing and draining the ring unblocks a producer stuck in
-      // push; it is joined before the replayer it reads goes away.
-      const auto stop_producer = [&] {
-        ring->close();
-        while (ring->try_pop()) {
-        }
-        producer.join();
-      };
-      try {
-        while (auto item = ring->pop()) {
-          pipeline.ingest(item->event, item->line);
-          ++ingested;
-          tick();
-          if (drain.stopped()) {
-            truncated = true;
-            break;
-          }
-        }
-      } catch (...) {
-        stop_producer();
-        throw;
-      }
-      stop_producer();
+      // Short of the simulation's end -- --max-events or a drain
+      // signal -- the run is paused, not finished.
+      truncated = resume + ingested < total;
     } else {
       // File source: line-delimited log, optionally stdin ("-").
       // InputBuffer mmaps plain files (zero-copy; WSS_MMAP=0 forces
@@ -929,8 +850,6 @@ int cmd_stream(const Args& args, std::ostream& out, std::ostream& err) {
     }
   }
 
-  auto snap = pipeline.snapshot();
-  snap.dropped = dropped();
   if (truncated) {
     out << util::format(
         "paused after %s events%s\n",
@@ -938,7 +857,7 @@ int cmd_stream(const Args& args, std::ostream& out, std::ostream& err) {
             .c_str(),
         checkpoint_path ? " (resume with --restore)" : "");
   }
-  out << stream::render_snapshot(snap);
+  out << stream::render_snapshot(pipeline.snapshot());
   // A truncated run skipped finish(); publish pending deltas so the
   // exported snapshot is complete either way.
   pipeline.publish_metrics();

@@ -17,10 +17,9 @@
 //                 into the single-process tables/figures
 //   wss stream    --system liberty [--speed N] [--threshold 5.0]
 //                 [--in log.txt | --seed N --cap N --chatter N]
-//                 [--policy block|drop-oldest] [--queue N]
 //                 [--checkpoint PATH] [--restore PATH] [--max-events N]
 //                 [--emit PATH] [--refresh N] [--window SEC]
-//                 SIGINT/SIGTERM drain gracefully (checkpoint + report)
+//                 SIGINT/SIGTERM pause gracefully (checkpoint + report)
 //   wss serve     --tcp PORT[:TENANT],... [--udp PORT:TENANT,...]
 //                 [--tenant NAME:SYSTEM[:YEAR],...] [--http PORT]
 //                 [--bind HOST] [--queue N] [--threshold SEC]

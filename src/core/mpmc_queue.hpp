@@ -1,21 +1,19 @@
-// A bounded multi-producer multi-consumer work queue.
+// A bounded multi-producer multi-consumer queue: the ring under
+// stream::IngestRing, which `wss serve` gives each tenant.
 //
-// One implementation serves two clients with different backpressure
-// policies. The parallel pipeline uses the blocking push(): producers
-// wait when the queue is full, consumers wait when it is empty, and
-// close() lets consumers drain remaining items and then observe
-// end-of-stream. The streaming ingest ring (stream::IngestRing) adds
-// the lossy alternative push_evicting(): never block, evict the oldest
-// item to make room, and report exactly how many were evicted so the
-// caller can account for every drop.
+// Two admission paths share one ring. push() and try_push_many()
+// never evict: push() blocks while the queue is full, and
+// try_push_many() admits what fits and reports the rest. The lossy
+// alternative, push_evicting() / push_evicting_many(), never blocks:
+// it evicts the oldest items to make room and reports exactly how many
+// it evicted, so the caller can account for every drop. close() lets
+// consumers drain the remaining items and then observe end-of-stream.
 //
 // Capacity must be a power of two: the ring index is computed with a
 // mask instead of a modulo, and an accidental capacity like 1000 (that
 // silently wastes the rounding) is rejected loudly at construction.
 // Synchronization is one mutex + two condition variables around the
-// ring; for the pipeline this is *not* on the per-event hot path --
-// one pop covers a whole chunk of PipelineOptions::chunk_events
-// events, so the lock is taken a few hundred times per run, total.
+// ring; the bulk forms take the lock once per batch.
 #pragma once
 
 #include <condition_variable>
@@ -108,10 +106,6 @@ class MpmcQueue {
     return n;
   }
 
-  std::size_t try_push_many(std::vector<T>& items, std::size_t from) {
-    return try_push_many(items, from, items.size());
-  }
-
   /// Bulk push_evicting: every item in items[from..to) enters the
   /// queue; the oldest residents are evicted to make room (a batch
   /// larger than the capacity evicts its own head -- still
@@ -139,10 +133,6 @@ class MpmcQueue {
     }
     not_empty_.notify_one();
     return evicted;
-  }
-
-  std::size_t push_evicting_many(std::vector<T>& items, std::size_t from) {
-    return push_evicting_many(items, from, items.size());
   }
 
   /// Never blocks: while the queue is full, evicts the oldest item to
@@ -187,26 +177,6 @@ class MpmcQueue {
     return item;
   }
 
-  /// Bulk pop: blocks while empty, then appends up to `max` items to
-  /// `out` under one lock. Returns the count; 0 means closed AND
-  /// drained (the end-of-stream signal). One wait + one lock per
-  /// batch amortizes the queue synchronization the same way the batch
-  /// pipeline's chunking does.
-  std::size_t pop_many(std::vector<T>& out, std::size_t max) {
-    std::unique_lock<std::mutex> lock(mu_);
-    not_empty_.wait(lock, [&] { return size_ > 0 || closed_; });
-    const std::size_t n = std::min(size_, max);
-    for (std::size_t i = 0; i < n; ++i) {
-      out.push_back(std::move(ring_[head_]));
-      head_ = (head_ + 1) & mask_;
-      --size_;
-    }
-    lock.unlock();
-    // A batch frees many slots at once: wake every blocked producer.
-    if (n > 0) not_full_.notify_all();
-    return n;
-  }
-
   /// Recycling bulk pop: blocks while empty, then swaps up to `max`
   /// items into out[0..n) under one lock (out is grown to `max` first
   /// if needed; elements beyond n are untouched). Returns n; 0 means
@@ -230,20 +200,6 @@ class MpmcQueue {
     lock.unlock();
     if (n > 0) not_full_.notify_all();
     return n;
-  }
-
-  /// Non-blocking pop: nullopt when the queue is currently empty
-  /// (which does NOT imply end-of-stream -- check via pop() or after
-  /// observing close() out of band).
-  std::optional<T> try_pop() {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (size_ == 0) return std::nullopt;
-    T item = std::move(ring_[head_]);
-    head_ = (head_ + 1) & mask_;
-    --size_;
-    lock.unlock();
-    not_full_.notify_one();
-    return item;
   }
 
   /// Ends the stream: blocked producers give up, consumers drain what

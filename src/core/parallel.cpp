@@ -7,7 +7,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/mpmc_queue.hpp"
 #include "obs/span.hpp"
 #include "tag/metrics.hpp"
 #include "tag/rulesets.hpp"
@@ -28,15 +27,14 @@ namespace {
 using Shards = std::vector<sim::Simulator::EventRange>;
 
 /// Reduces every shard on a pool of `workers` threads; returns the
-/// partials indexed by chunk. Each worker writes only partials[i] for
-/// the chunk ids it pops, so the result array needs no lock; the queue
-/// provides the necessary happens-before edges between producer,
-/// workers, and the join.
+/// partials indexed by chunk. Workers claim chunk ids from one atomic
+/// counter and each writes only partials[i] for the ids it claimed, so
+/// the result array needs no lock; the join orders every write before
+/// the caller's merge.
 std::vector<PipelineResult> reduce_on_pool(const detail::ChunkContext& ctx,
                                            const Shards& shards, int workers) {
   std::vector<PipelineResult> partials(shards.size());
-  MpmcQueue<std::size_t> queue(
-      MpmcQueue<std::size_t>::next_pow2(static_cast<std::size_t>(workers) * 4));
+  std::atomic<std::size_t> next_chunk{0};
   std::atomic<bool> failed{false};
   std::exception_ptr first_error;
   std::mutex error_mu;
@@ -47,16 +45,17 @@ std::vector<PipelineResult> reduce_on_pool(const detail::ChunkContext& ctx,
     for (int w = 0; w < workers; ++w) {
       pool.emplace_back([&] {
         // Worker-owned matching scratch, reused across every chunk
-        // this worker pops: the steady-state tag path allocates
+        // this worker claims: the steady-state tag path allocates
         // nothing, and the lazy-DFA cache warms once per thread.
         match::MatchScratch scratch;
         tag::TagMetricsFlusher flusher;
         obs::Span worker_span("pipeline_worker");
-        while (auto chunk = queue.pop()) {
-          if (failed.load(std::memory_order_relaxed)) continue;
+        for (std::size_t i = next_chunk.fetch_add(1, std::memory_order_relaxed);
+             i < shards.size() && !failed.load(std::memory_order_relaxed);
+             i = next_chunk.fetch_add(1, std::memory_order_relaxed)) {
           try {
-            partials[*chunk] = detail::process_chunk(
-                ctx, shards[*chunk].begin, shards[*chunk].end, scratch);
+            partials[i] = detail::process_chunk(ctx, shards[i].begin,
+                                                shards[i].end, scratch);
             flusher.flush(scratch);
           } catch (...) {
             std::lock_guard<std::mutex> lock(error_mu);
@@ -65,10 +64,6 @@ std::vector<PipelineResult> reduce_on_pool(const detail::ChunkContext& ctx,
         }
       });
     }
-    // Producer side: enqueue chunk ids with backpressure (the bounded
-    // queue caps how far ahead of the workers we run).
-    for (std::size_t i = 0; i < shards.size(); ++i) queue.push(i);
-    queue.close();
   }  // jthreads join here
 
   if (failed.load()) std::rethrow_exception(first_error);

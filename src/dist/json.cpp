@@ -294,25 +294,4 @@ const JsonValue* JsonValue::find(std::string_view key) const {
 
 JsonValue parse_json(std::string_view text) { return Parser(text).document(); }
 
-std::string json_quote(std::string_view s) {
-  std::string out = "\"";
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += util::format("\\u%04x", c);
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-  return out;
-}
-
 }  // namespace wss::dist

@@ -20,6 +20,8 @@
 #include <string_view>
 #include <vector>
 
+#include "util/strings.hpp"
+
 namespace wss::dist {
 
 /// One parsed JSON value. A tagged struct rather than std::variant:
@@ -66,6 +68,6 @@ struct JsonValue {
 JsonValue parse_json(std::string_view text);
 
 /// Serializes a string with JSON escaping, including the quotes.
-std::string json_quote(std::string_view s);
+using util::json_quote;
 
 }  // namespace wss::dist

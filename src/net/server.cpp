@@ -150,28 +150,6 @@ void strip_stamp(std::string_view& frame, std::int64_t& client_us) {
   frame.remove_prefix(i + 1);
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += util::format(
-              "\\u%04x", static_cast<unsigned>(static_cast<unsigned char>(c)));
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 struct Server::Impl {
@@ -1137,10 +1115,10 @@ struct Server::Impl {
         if (!first) out += ",";
         first = false;
         out += util::format(
-            "{\"name\":\"%s\",\"system\":\"%s\",\"delivered\":%llu,"
+            "{\"name\":%s,\"system\":\"%s\",\"delivered\":%llu,"
             "\"dropped\":%llu,\"ingested\":%llu,\"admitted\":%llu,"
             "\"queue\":%zu,\"queue_capacity\":%zu,\"watermark_us\":%lld",
-            json_escape(t->name()).c_str(),
+            util::json_quote(t->name()).c_str(),
             std::string(parse::system_short_name(t->system())).c_str(),
             static_cast<unsigned long long>(t->enqueued()),
             static_cast<unsigned long long>(t->ring_dropped()),

@@ -95,15 +95,6 @@ void Tenant::enqueue_batch_evicting(std::vector<stream::StreamItem>& items,
   delivered_ctr_.inc(n);
 }
 
-void Tenant::enqueue(std::string line) {
-  stream::StreamItem item;
-  item.index = next_index();
-  item.line = std::move(line);
-  ring_.push(std::move(item));
-  enqueued_.fetch_add(1, std::memory_order_relaxed);
-  delivered_ctr_.inc();
-}
-
 std::uint64_t Tenant::take_ring_drops() {
   const std::uint64_t total = ring_.dropped();
   std::uint64_t prev = published_ring_drops_.load(std::memory_order_relaxed);

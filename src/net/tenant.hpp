@@ -9,7 +9,7 @@
 //
 // Threading contract:
 //   * The enqueue side (next_index/try_enqueue_batch/
-//     enqueue_batch_evicting/enqueue/take_ring_drops) may be called
+//     enqueue_batch_evicting/take_ring_drops) may be called
 //     from ANY event-loop shard concurrently: admission happens under
 //     the ring's own lock, the index and drop-publication counters are
 //     atomics. No shard-to-shard lock is added -- the ring's existing
@@ -126,11 +126,6 @@ class Tenant {
   /// with each eviction counted (take_ring_drops publishes them).
   void enqueue_batch_evicting(std::vector<stream::StreamItem>& items,
                               std::size_t from, std::size_t to);
-
-  /// Hands one decoded line to the consumer (evicting path). Batch
-  /// callers should prefer the bulk forms above -- one ring lock per
-  /// batch instead of per line.
-  void enqueue(std::string line);
 
   /// Ring evictions since the last publication, pushed to the
   /// tenant's dropped counter. Safe from any shard concurrently (the

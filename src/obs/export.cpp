@@ -10,39 +10,6 @@ namespace wss::obs {
 
 namespace {
 
-/// Minimal JSON string escaping (quotes, backslashes, control chars) --
-/// metric names embed quotes via their Prometheus labels.
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (const char ch : s) {
-    switch (ch) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          out += util::format("\\u%04x", ch);
-        } else {
-          out.push_back(ch);
-        }
-    }
-  }
-  return out;
-}
-
 std::string fmt_double(double v) { return util::format("%.17g", v); }
 
 /// Splits `name{key="value"}` into (name, `key="value"`); the label
@@ -72,16 +39,16 @@ void emit_type_line(std::string& out, std::string_view full_name,
 std::string to_json(const MetricsSnapshot& s) {
   std::string out = "{\n  \"schema\": \"wss.obs.v1\",\n  \"counters\": {";
   for (std::size_t i = 0; i < s.counters.size(); ++i) {
-    out += util::format("%s\n    \"%s\": %llu", i == 0 ? "" : ",",
-                        json_escape(s.counters[i].name).c_str(),
+    out += util::format("%s\n    %s: %llu", i == 0 ? "" : ",",
+                        util::json_quote(s.counters[i].name).c_str(),
                         static_cast<unsigned long long>(s.counters[i].value));
   }
   out += s.counters.empty() ? "},\n" : "\n  },\n";
 
   out += "  \"gauges\": {";
   for (std::size_t i = 0; i < s.gauges.size(); ++i) {
-    out += util::format("%s\n    \"%s\": %lld", i == 0 ? "" : ",",
-                        json_escape(s.gauges[i].name).c_str(),
+    out += util::format("%s\n    %s: %lld", i == 0 ? "" : ",",
+                        util::json_quote(s.gauges[i].name).c_str(),
                         static_cast<long long>(s.gauges[i].value));
   }
   out += s.gauges.empty() ? "},\n" : "\n  },\n";
@@ -89,8 +56,8 @@ std::string to_json(const MetricsSnapshot& s) {
   out += "  \"histograms\": {";
   for (std::size_t i = 0; i < s.histograms.size(); ++i) {
     const auto& h = s.histograms[i];
-    out += util::format("%s\n    \"%s\": {\"bounds\": [", i == 0 ? "" : ",",
-                        json_escape(h.name).c_str());
+    out += util::format("%s\n    %s: {\"bounds\": [", i == 0 ? "" : ",",
+                        util::json_quote(h.name).c_str());
     for (std::size_t b = 0; b < h.bounds.size(); ++b) {
       out += (b == 0 ? "" : ", ") + fmt_double(h.bounds[b]);
     }
@@ -109,8 +76,8 @@ std::string to_json(const MetricsSnapshot& s) {
   for (std::size_t i = 0; i < s.spans.size(); ++i) {
     const auto& sp = s.spans[i];
     out += util::format(
-        "%s\n    {\"path\": \"%s\", \"count\": %llu, \"total_ns\": %llu}",
-        i == 0 ? "" : ",", json_escape(sp.path).c_str(),
+        "%s\n    {\"path\": %s, \"count\": %llu, \"total_ns\": %llu}",
+        i == 0 ? "" : ",", util::json_quote(sp.path).c_str(),
         static_cast<unsigned long long>(sp.count),
         static_cast<unsigned long long>(sp.total_ns));
   }

@@ -29,8 +29,7 @@ std::size_t Replayer::run(const Visitor& visit) const {
   const auto wall0 = std::chrono::steady_clock::now();
 
   const auto cancelled = [this] {
-    return opts_.cancel != nullptr &&
-           opts_.cancel->load(std::memory_order_relaxed);
+    return opts_.cancel != nullptr && opts_.cancel();
   };
 
   std::size_t delivered = 0;

@@ -13,7 +13,6 @@
 // indistinguishable from an uninterrupted one.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <functional>
 #include <limits>
@@ -31,11 +30,10 @@ struct ReplayOptions {
   std::size_t begin = 0;
   std::size_t end = std::numeric_limits<std::size_t>::max();
 
-  /// Optional cooperative cancellation (SIGINT/SIGTERM drain): when
-  /// the pointee becomes true the replay stops before the next event.
-  /// Paced sleeps are sliced so even a sparse stream reacts within
-  /// ~100 ms. The flag is polled, never written.
-  const std::atomic<bool>* cancel = nullptr;
+  /// Optional cooperative cancellation (SIGINT/SIGTERM drain): once
+  /// it returns true the replay stops before the next event. Paced
+  /// sleeps are sliced so even a sparse stream reacts within ~100 ms.
+  bool (*cancel)() = nullptr;
 };
 
 /// Paced walk over a Simulator's rendered event stream.

@@ -28,11 +28,6 @@ bool IngestRing::push(StreamItem item) {
 }
 
 std::size_t IngestRing::push_batch_evicting(std::vector<StreamItem>& items,
-                                            std::size_t from) {
-  return push_batch_evicting(items, from, items.size());
-}
-
-std::size_t IngestRing::push_batch_evicting(std::vector<StreamItem>& items,
                                             std::size_t from,
                                             std::size_t to) {
   const std::size_t evicted = queue_.push_evicting_many(items, from, to);

@@ -1,22 +1,24 @@
-// Bounded ingestion front-end for the streaming pipeline.
+// Bounded ingestion front-end for a live network source.
 //
-// A producer (the paced replayer of `wss stream`, a `wss serve`
-// connection) pushes StreamItems into a fixed-capacity ring; the
-// engine pops them. `wss stream --in` uses no ring: its input is
-// already in memory, so lines go to the engine inline and are never
-// dropped.
+// Each `wss serve` tenant owns one ring: its connections push
+// StreamItems into it and the tenant's consumer thread pops them into
+// the engine. `wss stream` uses no ring: its replay and file sources
+// run the engine inline on the calling thread, so a slow engine slows
+// the source down and no line is ever dropped.
 //
-// Backpressure is explicit and lossless by default:
-// BackpressurePolicy::kBlock stalls the producer when the consumer
-// falls behind (the right choice when the producer is replay and can
-// wait). kDropOldest never blocks -- the ring evicts its oldest
-// unconsumed items to make room and counts every eviction, so a slow
-// consumer under a live source degrades to a sampled stream with an
-// exact, queryable drop count. Nothing is ever dropped silently.
+// Backpressure is explicit and accounted. BackpressurePolicy::kBlock
+// stalls the producer when the consumer falls behind (lossless).
+// kDropOldest never blocks -- the ring evicts its oldest unconsumed
+// items to make room and counts every eviction, so a slow consumer
+// under a live source degrades to a sampled stream with an exact,
+// queryable drop count. Nothing is ever dropped silently. Serve's TCP
+// path admits lossless batches (try_push_batch) and pauses the
+// connection when the ring is full. Its UDP path cannot push back on
+// the sender, so it evicts (push_batch_evicting), as does a drain
+// deadline's last flush; UDP is where the paper's syslog loss occurs.
 //
-// The ring is core::MpmcQueue -- the same bounded queue the parallel
-// batch pipeline uses for its work chunks -- with the lossy
-// push_evicting() path enabled by policy.
+// The ring is core::MpmcQueue with the lossy push_evicting() path
+// enabled by policy.
 #pragma once
 
 #include <cstdint>
@@ -72,28 +74,16 @@ class IngestRing {
                              std::size_t from, std::size_t to) {
     return queue_.try_push_many(items, from, to);
   }
-  std::size_t try_push_batch(std::vector<StreamItem>& items,
-                             std::size_t from) {
-    return queue_.try_push_many(items, from);
-  }
 
   /// Evicting bulk push (kDropOldest semantics regardless of policy):
   /// every item enters; evictions are counted exactly and mirrored to
   /// the stream drop counter. Returns the eviction count (0 when the
   /// ring was closed -- nothing entered, nothing dropped).
   std::size_t push_batch_evicting(std::vector<StreamItem>& items,
-                                  std::size_t from);
-  std::size_t push_batch_evicting(std::vector<StreamItem>& items,
                                   std::size_t from, std::size_t to);
 
   /// Consumer side: blocks while empty, nullopt at end-of-stream.
   std::optional<StreamItem> pop() { return queue_.pop(); }
-
-  /// Bulk consumer: blocks while empty, then appends up to `max` items
-  /// to `out` under one lock. 0 = closed and drained.
-  std::size_t pop_many(std::vector<StreamItem>& out, std::size_t max) {
-    return queue_.pop_many(out, max);
-  }
 
   /// Recycling bulk consumer: swaps up to `max` items into out[0..n),
   /// parking the caller's processed elements in the vacated slots so
@@ -102,9 +92,6 @@ class IngestRing {
   std::size_t pop_many_swap(std::vector<StreamItem>& out, std::size_t max) {
     return queue_.pop_many_swap(out, max);
   }
-
-  /// Non-blocking consumer probe (empty != end-of-stream).
-  std::optional<StreamItem> try_pop() { return queue_.try_pop(); }
 
   /// Ends the stream; consumers drain what remains.
   void close() { queue_.close(); }

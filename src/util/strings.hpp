@@ -72,4 +72,10 @@ std::uint64_t fnv1a(std::string_view s);
 /// printf-style formatting into a std::string.
 std::string format(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 
+/// Serializes a string as a JSON string literal, quotes included:
+/// escapes quotes, backslashes and control characters; other bytes
+/// (UTF-8 included) pass through. The one escaper every JSON writer
+/// (metrics export, /status, dist manifests) uses.
+std::string json_quote(std::string_view s);
+
 }  // namespace wss::util

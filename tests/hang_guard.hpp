@@ -4,7 +4,9 @@
 // so that only the tenant consumer's wake can resume a paused
 // connection. If that wake is lost, the sender blocks on the paused
 // socket and teardown's drain waits out the timer, so no assertion
-// ever runs. The guard ends the process instead, naming the test.
+// ever runs. Likewise a paced `wss stream` replay that misses its stop
+// signal sleeps out a simulated gap of hours. The guard ends the
+// process instead, naming the test and the likely cause.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -21,19 +23,21 @@ namespace wss::testing_util {
 
 class HangGuard {
  public:
-  explicit HangGuard(std::chrono::seconds limit) {
+  explicit HangGuard(
+      std::chrono::seconds limit,
+      std::string cause = "a paused connection was never resumed") {
     const ::testing::TestInfo* info =
         ::testing::UnitTest::GetInstance()->current_test_info();
     std::string name = info == nullptr ? std::string("?")
                                        : std::string(info->test_suite_name()) +
                                              "." + info->name();
-    watcher_ = std::thread([this, limit, name = std::move(name)] {
+    watcher_ = std::thread([this, limit, name = std::move(name),
+                            cause = std::move(cause)] {
       std::unique_lock<std::mutex> lock(mu_);
       if (cv_.wait_for(lock, limit, [this] { return done_; })) return;
-      std::fprintf(stderr,
-                   "%s: still running after %lld s; a paused connection "
-                   "was never resumed\n",
-                   name.c_str(), static_cast<long long>(limit.count()));
+      std::fprintf(stderr, "%s: still running after %lld s; %s\n",
+                   name.c_str(), static_cast<long long>(limit.count()),
+                   cause.c_str());
       std::fflush(stderr);
       std::_Exit(1);
     });

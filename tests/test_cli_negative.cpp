@@ -125,12 +125,15 @@ TEST_F(CliNegativeTest, CheckpointRestoreSamePathRejected) {
   expect_one_line_error("--checkpoint and --restore");
 }
 
-TEST_F(CliNegativeTest, StreamRejectsBadPolicyAndQueue) {
-  EXPECT_EQ(run_tokens({"stream", "--system", "liberty", "--policy", "lifo"}),
+TEST_F(CliNegativeTest, StreamRejectsRingFlags) {
+  // `wss stream` has no ring to size or to drop from.
+  EXPECT_EQ(run_tokens({"stream", "--system", "liberty", "--policy",
+                        "drop-oldest"}),
             2);
-  expect_one_line_error("--policy must be block or drop-oldest");
-  EXPECT_EQ(run_tokens({"stream", "--system", "liberty", "--queue", "0"}), 2);
-  expect_one_line_error("--queue");
+  expect_one_line_error("unknown flag --policy");
+  EXPECT_EQ(run_tokens({"stream", "--system", "liberty", "--queue", "256"}),
+            2);
+  expect_one_line_error("unknown flag --queue");
 }
 
 TEST_F(CliNegativeTest, StreamRestoreFromMissingFileFails) {

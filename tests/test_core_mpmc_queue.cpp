@@ -50,14 +50,6 @@ TEST(MpmcQueue, NextPow2) {
   EXPECT_EQ(MpmcQueue<int>::next_pow2(1000), 1024u);
 }
 
-TEST(MpmcQueue, TryPopNonBlocking) {
-  MpmcQueue<int> q(4);
-  EXPECT_FALSE(q.try_pop().has_value());  // empty: no blocking, no value
-  q.push(7);
-  EXPECT_EQ(q.try_pop(), 7);
-  EXPECT_FALSE(q.try_pop().has_value());
-}
-
 TEST(MpmcQueue, PushEvictingDropsOldestWhenFull) {
   MpmcQueue<int> q(2);
   EXPECT_EQ(q.push_evicting(1), 0u);

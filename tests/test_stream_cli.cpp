@@ -1,15 +1,20 @@
 // CLI surface of the streaming engine: `wss stream` and the replay
 // mode of `wss generate`.
 #include <gtest/gtest.h>
+#include <pthread.h>
 
+#include <chrono>
+#include <csignal>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <thread>
 #include <vector>
 
 #include "cli/commands.hpp"
 #include "core/experiments.hpp"
 #include "core/study.hpp"
+#include "hang_guard.hpp"
 #include "logio/input.hpp"
 #include "simd/split.hpp"
 #include "stream/pipeline.hpp"
@@ -59,9 +64,11 @@ TEST_F(StreamCliTest, RequiresSystemAndValidatesFlags) {
   EXPECT_EQ(run_tokens({"stream"}), 2);
   EXPECT_NE(err_.str().find("--system"), std::string::npos);
   EXPECT_EQ(run_tokens({"stream", "--system", "liberty", "--policy",
-                        "drop-newest"}),
+                        "drop-oldest"}),
             2);
-  EXPECT_NE(err_.str().find("block or drop-oldest"), std::string::npos);
+  EXPECT_NE(err_.str().find("unknown flag --policy"), std::string::npos);
+  EXPECT_EQ(run_tokens({"stream", "--system", "liberty", "--queue", "1"}), 2);
+  EXPECT_NE(err_.str().find("unknown flag --queue"), std::string::npos);
   EXPECT_EQ(
       run_tokens({"stream", "--system", "liberty", "--threshold", "0"}), 2);
   EXPECT_EQ(run_tokens({"stream", "--system", "liberty", "--sed", "7"}), 2);
@@ -100,6 +107,51 @@ TEST_F(StreamCliTest, CheckpointResumeReportEqualsUninterrupted) {
   EXPECT_EQ(out_.str(), uninterrupted);
 }
 
+TEST_F(StreamCliTest, SigtermDuringPacedGapPausesAndResumes) {
+  // At --speed 0.0001 the replay delivers its first event and then
+  // sleeps through a simulated gap of hours, so the SIGTERM lands while
+  // the run is short of the simulation's end: it must report a pause,
+  // not a finished run, and its checkpoint must resume exactly.
+  using namespace std::chrono_literals;
+  const testing_util::HangGuard guard(
+      60s, "the paced replay never saw its SIGTERM");
+  const std::vector<std::string> base = {
+      "stream", "--system", "liberty", "--cap", "200", "--chatter", "2000"};
+  ASSERT_EQ(run_tokens(base), 0);
+  const std::string uninterrupted = out_.str();
+
+  struct sigaction before {};
+  ASSERT_EQ(::sigaction(SIGTERM, nullptr, &before), 0);
+  const pthread_t runner = ::pthread_self();
+  std::thread signaller([runner, before] {
+    // Signal only once cmd_stream's drain handler is installed, and
+    // aim it at the thread running the replay.
+    for (;;) {
+      struct sigaction now {};
+      ::sigaction(SIGTERM, nullptr, &now);
+      if (now.sa_handler != before.sa_handler) break;
+      std::this_thread::sleep_for(5ms);
+    }
+    std::this_thread::sleep_for(500ms);
+    ::pthread_kill(runner, SIGTERM);
+  });
+  const auto ck = (dir_ / "ck.wssc").string();
+  auto paced = base;
+  paced.insert(paced.end(), {"--speed", "0.0001", "--checkpoint", ck});
+  const int rc = run_tokens(paced);
+  signaller.join();
+  ASSERT_EQ(rc, 0) << err_.str();
+  EXPECT_NE(out_.str().find("paused after"), std::string::npos)
+      << out_.str();
+  EXPECT_EQ(out_.str().find("(final)"), std::string::npos) << out_.str();
+  ASSERT_TRUE(fs::exists(ck));
+
+  auto resumed = base;
+  resumed.insert(resumed.end(), {"--restore", ck});
+  ASSERT_EQ(run_tokens(resumed), 0) << err_.str();
+  EXPECT_EQ(out_.str(), uninterrupted);
+}
+
 TEST_F(StreamCliTest, EmitMatchesBatchFilteredAlerts) {
   const auto emit = (dir_ / "alerts.txt").string();
   ASSERT_EQ(run_tokens({"stream", "--system", "liberty", "--cap", "400",
@@ -129,9 +181,8 @@ TEST_F(StreamCliTest, FileModeStreamsGeneratedLog) {
   ASSERT_EQ(run_tokens({"generate", "--system", "liberty", "--out", log,
                         "--cap", "400", "--chatter", "2000"}),
             0);
-  const std::vector<std::string> tokens = {"stream",  "--system", "liberty",
-                                           "--in",    log,        "--queue",
-                                           "256"};
+  const std::vector<std::string> tokens = {"stream", "--system", "liberty",
+                                           "--in", log};
   ASSERT_EQ(run_tokens(tokens), 0);
   const std::string first = out_.str();
   EXPECT_NE(first.find("Liberty"), std::string::npos);
@@ -141,7 +192,7 @@ TEST_F(StreamCliTest, FileModeStreamsGeneratedLog) {
   EXPECT_EQ(out_.str(), first);
 }
 
-TEST_F(StreamCliTest, FileModeIgnoresRingFlagsAndAnExactLimit) {
+TEST_F(StreamCliTest, FileModeRejectsRingFlagsAndMeetsAnExactLimit) {
   const auto log = (dir_ / "log.txt").string();
   ASSERT_EQ(run_tokens({"generate", "--system", "liberty", "--out", log,
                         "--cap", "400", "--chatter", "1000"}),
@@ -159,12 +210,11 @@ TEST_F(StreamCliTest, FileModeIgnoresRingFlagsAndAnExactLimit) {
   ASSERT_EQ(run_tokens(limited), 0);
   EXPECT_EQ(out_.str(), full);
 
-  // --queue and --policy shape only the replay source: a file source
-  // never drops a line.
+  // No source has a ring, so the ring flags are refused, not ignored.
   auto lossy = base;
   lossy.insert(lossy.end(), {"--policy", "drop-oldest", "--queue", "1"});
-  ASSERT_EQ(run_tokens(lossy), 0);
-  EXPECT_EQ(out_.str(), full);
+  EXPECT_EQ(run_tokens(lossy), 2);
+  EXPECT_NE(err_.str().find("unknown flag --"), std::string::npos);
 }
 
 TEST_F(StreamCliTest, FileModeCheckpointResumeEqualsUninterrupted) {

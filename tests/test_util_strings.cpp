@@ -107,5 +107,15 @@ TEST(Strings, Format) {
   EXPECT_EQ(format("empty"), "empty");
 }
 
+TEST(Strings, JsonQuoteEscapesQuotesBackslashesAndControls) {
+  EXPECT_EQ(json_quote(""), "\"\"");
+  EXPECT_EQ(json_quote("m{k=\"v\"}"), "\"m{k=\\\"v\\\"}\"");
+  EXPECT_EQ(json_quote("a\\b"), "\"a\\\\b\"");
+  EXPECT_EQ(json_quote("\n\r\t"), "\"\\n\\r\\t\"");
+  EXPECT_EQ(json_quote(std::string_view("\x01\x1f\0", 3)),
+            "\"\\u0001\\u001f\\u0000\"");
+  EXPECT_EQ(json_quote("caf\xc3\xa9 \x7f"), "\"caf\xc3\xa9 \x7f\"");
+}
+
 }  // namespace
 }  // namespace wss::util
