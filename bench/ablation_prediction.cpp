@@ -11,10 +11,7 @@
 // stream::StreamPipeline with the prediction stage enabled (the
 // `wss stream --predict` path): train_alerts is sized by a pre-pass so
 // the stage fits at the same 60% time boundary, and per-system
-// precision / recall / median lead time land in BENCH_prediction.json
-// (JSON-lines) for the cross-PR trajectory.
-#include <fstream>
-
+// precision / recall / median lead time are printed as a second table.
 #include "bench_common.hpp"
 
 #include "obs/metrics.hpp"
@@ -133,12 +130,6 @@ int main() {
                   "MedLead(s)", "Rules", "Incidents"});
   obs::Histogram& lead_hist = obs::registry().histogram(
       "wss_predict_lead_time_seconds", obs::lead_time_bounds_seconds());
-  std::string json = util::format(
-      "{\"bench\":\"ablation_prediction\",\"mode\":\"online\","
-      "\"workload\":\"cap=%zu chatter=%zu\",\"systems\":[",
-      bench::standard_options().sim.category_cap,
-      bench::standard_options().sim.chatter_events);
-  bool json_first = true;
   for (const auto id : parse::kAllSystems) {
     const auto& simulator = study.simulator(id);
     const auto& events = simulator.events();
@@ -207,30 +198,8 @@ int main() {
                 util::format("%.0f", median_lead),
                 std::to_string(snap.predict_rules),
                 std::to_string(snap.predict_incidents)});
-    json += util::format(
-        "%s{\"system\":\"%s\",\"train_alerts\":%llu,\"issued\":%llu,"
-        "\"hits\":%llu,\"misses\":%llu,\"false_alarms\":%llu,"
-        "\"incidents\":%llu,\"test_incidents\":%llu,\"rules\":%zu,"
-        "\"precision\":%.4f,\"recall\":%.4f,\"lead_time_median_s\":%.1f}",
-        json_first ? "" : ",",
-        std::string(parse::system_short_name(id)).c_str(),
-        static_cast<unsigned long long>(train_alerts),
-        static_cast<unsigned long long>(issued),
-        static_cast<unsigned long long>(snap.predict_hits),
-        static_cast<unsigned long long>(snap.predict_misses),
-        static_cast<unsigned long long>(snap.predict_false_alarms),
-        static_cast<unsigned long long>(snap.predict_incidents),
-        static_cast<unsigned long long>(test_incidents), snap.predict_rules,
-        precision, recall, median_lead);
-    json_first = false;
   }
-  json += "]}";
   std::cout << ot.render();
-  {
-    std::ofstream os("BENCH_prediction.json", std::ios::app);
-    if (os) os << json << "\n";
-  }
-  std::cout << "(appended to BENCH_prediction.json)\n";
   std::cout << util::format(
       "\nEnsemble within 15%% of the best hindsight-chosen single\n"
       "predictor on every system, without knowing which feature works\n"

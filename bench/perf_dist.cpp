@@ -10,9 +10,7 @@
 //
 // The merged artifacts are byte-compared against the baseline's: the
 // bench double-checks the equivalence contract while timing it, and
-// FAILs on any divergence. Appends one JSON-lines record to
-// BENCH_dist.json so the overhead trajectory across PRs is
-// machine-readable.
+// FAILs on any divergence.
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -141,19 +139,6 @@ int main() {
       overhead_x);
   std::cout << util::format("  equivalence     %s\n",
                             pass ? "PASS (bit-identical)" : "FAIL");
-
-  const std::string json = util::format(
-      "{\"bench\":\"perf_dist\",\"axis\":\"category\",\"num_splits\":%u,"
-      "\"events\":%llu,\"chunks\":%llu,\"baseline_s\":%.4f,\"plan_s\":%.4f,"
-      "\"workers_s\":%.4f,\"merge_s\":%.4f,\"overhead_x\":%.3f,"
-      "\"artifacts\":%zu,\"pass\":%s}",
-      kSplits, static_cast<unsigned long long>(worker_events),
-      static_cast<unsigned long long>(merged.chunks), baseline_s, plan_s,
-      workers_s, merge_s, overhead_x, merged.artifacts,
-      pass ? "true" : "false");
-  std::ofstream os("BENCH_dist.json", std::ios::app);
-  if (os) os << json << "\n";
-  std::cout << "(appended to BENCH_dist.json)\n";
 
   fs::remove_all(root);
   return pass ? 0 : 1;

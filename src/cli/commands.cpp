@@ -798,10 +798,10 @@ int cmd_stream(const Args& args, std::ostream& out, std::ostream& err) {
       truncated = resume + ingested < total;
     } else {
       // File source: line-delimited log, optionally stdin ("-").
-      // InputBuffer mmaps plain files (zero-copy; WSS_MMAP=0 forces
-      // the read() path) and reads pipes to EOF, so the whole input is
-      // in memory up front: each line goes from the buffer straight to
-      // the engine on this thread, uncopied, and none is ever dropped.
+      // InputBuffer mmaps plain files (zero-copy) and reads pipes to
+      // EOF, so the whole input is in memory up front: each line goes
+      // from the buffer straight to the engine on this thread,
+      // uncopied, and none is ever dropped.
       const logio::InputBuffer input = *in_path == "-"
                                            ? logio::InputBuffer::from_fd(0)
                                            : logio::InputBuffer::open(*in_path);

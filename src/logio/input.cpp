@@ -6,7 +6,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
 #include <stdexcept>
 #include <utility>
@@ -16,11 +15,6 @@
 namespace wss::logio {
 
 namespace {
-
-bool mmap_enabled() {
-  const char* env = std::getenv("WSS_MMAP");
-  return env == nullptr || std::strcmp(env, "0") != 0;
-}
 
 [[noreturn]] void throw_errno(const std::filesystem::path& path,
                               const char* what) {
@@ -100,7 +94,7 @@ InputBuffer InputBuffer::open(const std::filesystem::path& path) {
     errno = saved;
     throw_errno(path, "stat");
   }
-  if (mmap_enabled() && S_ISREG(st.st_mode) && st.st_size > 0) {
+  if (S_ISREG(st.st_mode) && st.st_size > 0) {
     const auto len = static_cast<std::size_t>(st.st_size);
     void* map = ::mmap(nullptr, len, PROT_READ, MAP_PRIVATE, fd, 0);
     if (map != MAP_FAILED) {

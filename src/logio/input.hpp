@@ -7,7 +7,7 @@
 // straight into the page cache, and falls back to plain read() when
 // mapping is impossible or pointless: pipes and other non-regular
 // files, empty files, .wsc logs (which must be decompressed into an
-// owned buffer anyway), or when WSS_MMAP=0 disables mapping outright.
+// owned buffer anyway), or when the kernel refuses the mapping.
 // The fallback paths are pinned byte-identical to the mmap path by
 // tests/test_logio_input.cpp.
 //

@@ -2,8 +2,8 @@
 // and the span trace tree (obs/span.hpp).
 //
 // The paper's Section 3.2 lesson -- you cannot trust a log you cannot
-// measure -- applies to the pipelines themselves: BENCH_*.json records
-// end-to-end numbers, but nothing explains where events and time go
+// measure -- applies to the pipelines themselves: an end-to-end
+// throughput number alone does not explain where events and time go
 // inside a run. Every stage (pipeline, stream, filter, tag) publishes
 // named metrics here; `wss <cmd> --metrics FILE` snapshots them as
 // JSON or Prometheus text (obs/export.hpp).

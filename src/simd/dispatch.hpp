@@ -9,10 +9,11 @@
 // one-line stderr warning rather than crashing on an illegal
 // instruction.
 //
-// The override exists for two reasons: the differential-fuzz suite
-// (tests label `simd`) runs every kernel at every supported level and
-// asserts bit-identical output against the scalar twin, and the bench
-// ablations (BENCH_simd.json) time each level in one binary.
+// The override exists for the differential-fuzz suite (tests label
+// `simd`), which runs every kernel at every supported level and
+// asserts bit-identical output against the scalar twin, and for the
+// CI job that runs that suite under the sanitizers at both ends of
+// the dispatch range.
 #pragma once
 
 #include <cstdint>
@@ -29,8 +30,7 @@ enum class Level : std::uint8_t {
   kNeon = 3,
 };
 
-/// Spelling used by WSS_SIMD and BENCH_simd.json ("scalar", "sse2",
-/// "avx2", "neon").
+/// Spelling used by WSS_SIMD ("scalar", "sse2", "avx2", "neon").
 const char* level_name(Level level);
 
 /// Parses a WSS_SIMD spelling (case-insensitive). nullopt = unknown.

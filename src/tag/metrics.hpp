@@ -2,7 +2,7 @@
 //
 // The tag miss path runs at tens of millions of lines per second; a
 // striped-atomic counter add per line would cost a measurable slice of
-// that (the obs overhead budget is <2% on the perf_tagging miss path).
+// that (the obs overhead budget is wss_bench's trace.overhead_share).
 // So TagEngine::tag_line maintains plain per-scratch tallies, and the
 // owner of each scratch (serial pipeline, parallel worker, stream
 // engine, cmd_analyze) pairs it with one TagMetricsFlusher, calling

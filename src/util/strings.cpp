@@ -132,7 +132,9 @@ std::optional<std::int64_t> parse_i64(std::string_view s) {
   if (!mag) return std::nullopt;
   if (neg) {
     if (*mag > 0x8000000000000000ull) return std::nullopt;
-    return -static_cast<std::int64_t>(*mag);
+    // Negate in unsigned arithmetic: a signed negation of INT64_MIN
+    // overflows, while 0 - mag wraps mod 2^64 to the same bits.
+    return static_cast<std::int64_t>(0 - *mag);
   }
   if (*mag > 0x7fffffffffffffffull) return std::nullopt;
   return static_cast<std::int64_t>(*mag);

@@ -1,9 +1,11 @@
 // InputBuffer fallback-path contract: whatever route the bytes take
 // -- mmap'd pages, read() into an owned buffer, a pipe, a .wsc
 // decompression -- the view is byte-identical and everything built on
-// it (read_log) behaves identically. The mmap path snapshots the size
-// at open; the read() path is the one a concurrent truncation can
-// race, so that case is tested deterministically there.
+// it (read_log) behaves identically. open() maps every non-empty
+// regular file, so these tests reach its read() route through a FIFO,
+// which is never mapped. The mmap path snapshots the size at open; the
+// read() path is the one a concurrent truncation can race, so that
+// case is tested deterministically there.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
@@ -11,7 +13,6 @@
 #include <sys/types.h>
 #include <unistd.h>
 
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -48,11 +49,27 @@ void write_file(const fs::path& p, std::string_view content) {
   os.write(content.data(), static_cast<std::streamsize>(content.size()));
 }
 
-class MmapGuard {
- public:
-  ~MmapGuard() { ::unsetenv("WSS_MMAP"); }
-  void disable() { ::setenv("WSS_MMAP", "0", 1); }
-};
+void write_all(int fd, std::string_view payload) {
+  std::size_t off = 0;
+  while (off < payload.size()) {
+    const ssize_t n = ::write(fd, payload.data() + off, payload.size() - off);
+    if (n <= 0) break;
+    off += static_cast<std::size_t>(n);
+  }
+}
+
+/// Makes a FIFO at `p` and starts a thread that opens it for writing,
+/// writes `payload` and closes it. The caller opens the read end (which
+/// unblocks the writer's open) and joins the thread.
+std::thread feed_fifo(const fs::path& p, std::string payload) {
+  EXPECT_EQ(::mkfifo(p.c_str(), 0600), 0);
+  return std::thread([p, payload = std::move(payload)] {
+    const int fd = ::open(p.c_str(), O_WRONLY | O_CLOEXEC);
+    if (fd < 0) return;
+    write_all(fd, payload);
+    ::close(fd);
+  });
+}
 
 std::string sample_log() {
   std::string text;
@@ -86,7 +103,6 @@ std::string read_digest(const fs::path& p, ReadStats* stats_out = nullptr) {
 
 TEST(LogioInput, MmapAndReadPathsAreByteIdentical) {
   const TempDir dir;
-  MmapGuard guard;
   const std::string text = sample_log();
   write_file(dir.file("log.txt"), text);
 
@@ -94,23 +110,25 @@ TEST(LogioInput, MmapAndReadPathsAreByteIdentical) {
   EXPECT_EQ(mapped.source(), InputBuffer::Source::kMmap);
   EXPECT_EQ(mapped.view(), text);
 
-  guard.disable();
-  const InputBuffer readback = InputBuffer::open(dir.file("log.txt"));
+  std::thread writer = feed_fifo(dir.file("log.fifo"), text);
+  const InputBuffer readback = InputBuffer::open(dir.file("log.fifo"));
+  writer.join();
   EXPECT_EQ(readback.source(), InputBuffer::Source::kRead);
   EXPECT_EQ(readback.view(), text);
 }
 
 TEST(LogioInput, ReadLogIdenticalUnderBothPaths) {
   const TempDir dir;
-  MmapGuard guard;
-  write_file(dir.file("log.txt"), sample_log());
+  const std::string text = sample_log();
+  write_file(dir.file("log.txt"), text);
 
   ReadStats mmap_stats;
   const std::string mmap_digest = read_digest(dir.file("log.txt"), &mmap_stats);
-  guard.disable();
+  std::thread writer = feed_fifo(dir.file("log.fifo"), text);
   ReadStats read_stats;
   const std::string read_digest_s =
-      read_digest(dir.file("log.txt"), &read_stats);
+      read_digest(dir.file("log.fifo"), &read_stats);
+  writer.join();
 
   EXPECT_EQ(mmap_digest, read_digest_s);
   EXPECT_EQ(mmap_stats.lines, read_stats.lines);
@@ -150,13 +168,7 @@ TEST(LogioInput, PipeTakesReadPath) {
   ASSERT_EQ(::pipe(fds), 0);
   const std::string payload = sample_log();
   std::thread writer([&] {
-    std::size_t off = 0;
-    while (off < payload.size()) {
-      const ssize_t n =
-          ::write(fds[1], payload.data() + off, payload.size() - off);
-      if (n <= 0) break;
-      off += static_cast<std::size_t>(n);
-    }
+    write_all(fds[1], payload);
     ::close(fds[1]);
   });
   const InputBuffer b = InputBuffer::from_fd(fds[0]);
