@@ -35,6 +35,7 @@
 #include "tag/engine.hpp"
 #include "tag/metrics.hpp"
 #include "tag/rulesets.hpp"
+#include "util/file.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 
@@ -706,12 +707,8 @@ int cmd_stream(const Args& args, std::ostream& out, std::ostream& err) {
   stream::StreamPipeline& pipeline = *pipeline_storage;
 
   if (restore_path) {
-    std::ifstream is(*restore_path, std::ios::binary);
-    if (!is) {
-      err << "stream: cannot open " << *restore_path << "\n";
-      return 1;
-    }
     try {
+      std::istringstream is(util::read_file(*restore_path));
       pipeline.restore(is);
     } catch (const std::exception& e) {
       err << "stream: restore failed: " << e.what() << "\n";
@@ -837,13 +834,10 @@ int cmd_stream(const Args& args, std::ostream& out, std::ostream& err) {
   if (!truncated) pipeline.finish();
 
   if (checkpoint_path) {
-    std::ofstream os(*checkpoint_path, std::ios::binary);
-    if (!os) {
-      err << "stream: cannot open " << *checkpoint_path << "\n";
-      return 1;
-    }
     try {
+      std::ostringstream os;
       pipeline.save(os);
+      util::publish_file(*checkpoint_path, os.view());
     } catch (const std::exception& e) {
       err << "stream: checkpoint failed: " << e.what() << "\n";
       return 1;

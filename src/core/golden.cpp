@@ -1,12 +1,12 @@
 #include "core/golden.hpp"
 
 #include <filesystem>
-#include <fstream>
 #include <stdexcept>
 
 #include "core/experiments.hpp"
 #include "core/report.hpp"
 #include "tag/rulesets.hpp"
+#include "util/file.hpp"
 #include "util/strings.hpp"
 
 namespace wss::core {
@@ -218,11 +218,7 @@ std::size_t write_artifacts(
   std::size_t written = 0;
   for (const auto& artifact : golden_artifacts()) {
     if (want && !want(artifact)) continue;
-    const std::string path = dir + "/" + artifact.file;
-    std::ofstream os(path, std::ios::binary | std::ios::trunc);
-    if (!os) throw std::runtime_error("golden: cannot open " + path);
-    os << artifact.produce(study);
-    if (!os.flush()) throw std::runtime_error("golden: write failed: " + path);
+    util::publish_file(dir + "/" + artifact.file, artifact.produce(study));
     ++written;
   }
   return written;

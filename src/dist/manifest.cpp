@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <stdexcept>
 
 #include "dist/json.hpp"
+#include "util/file.hpp"
 #include "util/strings.hpp"
 
 namespace wss::dist {
@@ -18,22 +17,6 @@ std::optional<parse::SystemId> system_from_short_name(std::string_view name) {
     if (parse::system_short_name(id) == name) return id;
   }
   return std::nullopt;
-}
-
-std::string read_file(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) throw std::runtime_error("manifest: cannot open " + path);
-  std::ostringstream ss;
-  ss << is.rdbuf();
-  if (is.bad()) throw std::runtime_error("manifest: read failed: " + path);
-  return std::move(ss).str();
-}
-
-void write_file(const std::string& path, const std::string& content) {
-  std::ofstream os(path, std::ios::binary | std::ios::trunc);
-  if (!os) throw std::runtime_error("manifest: cannot open " + path);
-  os << content;
-  if (!os.flush()) throw std::runtime_error("manifest: write failed: " + path);
 }
 
 /// Rejects documents whose format/version tags this build does not
@@ -249,17 +232,19 @@ std::string partial_path(const std::string& dir, std::uint32_t id) {
 
 void write_manifest(const StudyManifest& manifest, const std::string& dir) {
   std::filesystem::create_directories(dir);
-  write_file(study_json_path(dir), render_study_json(manifest));
+  util::publish_file(study_json_path(dir), render_study_json(manifest));
   for (const Assignment& a : manifest.assignments) {
-    write_file(assignment_json_path(dir, a.id), render_assignment_json(a));
+    util::publish_file(assignment_json_path(dir, a.id),
+                       render_assignment_json(a));
   }
 }
 
 StudyManifest load_manifest(const std::string& dir) {
   const std::string study_path = study_json_path(dir);
+  const std::string study_text = util::read_file(study_path);
   JsonValue doc;
   try {
-    doc = parse_json(read_file(study_path));
+    doc = parse_json(study_text);
   } catch (const std::runtime_error& e) {
     throw std::runtime_error(study_path + ": " + e.what());
   }
@@ -318,9 +303,10 @@ StudyManifest load_manifest(const std::string& dir) {
   m.assignments.reserve(m.num_splits);
   for (std::uint32_t id = 0; id < m.num_splits; ++id) {
     const std::string path = assignment_json_path(dir, id);
+    const std::string text = util::read_file(path);
     JsonValue adoc;
     try {
-      adoc = parse_json(read_file(path));
+      adoc = parse_json(text);
     } catch (const std::runtime_error& e) {
       throw std::runtime_error(path + ": " + e.what());
     }

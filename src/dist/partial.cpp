@@ -1,44 +1,15 @@
 #include "dist/partial.hpp"
 
-#include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 
+#include "util/file.hpp"
 #include "util/strings.hpp"
 
 namespace wss::dist {
 
 namespace {
-
-/// Little-endian u64/u32 for the trailer (written outside the
-/// checksummed payload, so not through CheckpointWriter).
-void append_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out += static_cast<char>((v >> (8 * i)) & 0xff);
-}
-
-void append_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out += static_cast<char>((v >> (8 * i)) & 0xff);
-}
-
-std::uint64_t parse_u64(const char* p) {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) {
-    v = (v << 8) | static_cast<unsigned char>(p[i]);
-  }
-  return v;
-}
-
-std::uint32_t parse_u32(const char* p) {
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) {
-    v = (v << 8) | static_cast<unsigned char>(p[i]);
-  }
-  return v;
-}
-
-constexpr std::size_t kTrailerSize = 8 + 8 + 4;
 
 std::string render_payload(const PartialFile& partial) {
   std::ostringstream os(std::ios::binary);
@@ -105,15 +76,6 @@ PartialFile parse_payload(const std::string& payload) {
   }
   p.counter_deltas = stream::read_counter_table(r);
   return p;
-}
-
-std::string read_file(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) throw std::runtime_error("partial: cannot open " + path);
-  std::ostringstream ss;
-  ss << is.rdbuf();
-  if (is.bad()) throw std::runtime_error("partial: read failed: " + path);
-  return std::move(ss).str();
 }
 
 }  // namespace
@@ -214,68 +176,20 @@ core::PipelineResult load_result(stream::CheckpointReader& r) {
   return out;
 }
 
-std::uint64_t fnv1a64(std::string_view bytes) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
 void write_partial(const PartialFile& partial, const std::string& path) {
-  namespace fs = std::filesystem;
   std::error_code ec;
-  fs::create_directories(fs::path(path).parent_path(), ec);
-
+  std::filesystem::create_directories(
+      std::filesystem::path(path).parent_path(), ec);
   std::string bytes = render_payload(partial);
-  const std::uint64_t payload_size = bytes.size();
-  append_u64(bytes, payload_size);
-  append_u64(bytes, fnv1a64(std::string_view(bytes.data(), payload_size)));
-  append_u32(bytes, kPartialEndMagic);
-
-  const std::string tmp = path + "." + partial.instance + ".tmp";
-  {
-    std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-    if (!os) throw std::runtime_error("partial: cannot open " + tmp);
-    os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    if (!os.flush()) throw std::runtime_error("partial: write failed: " + tmp);
-  }
-  fs::rename(tmp, path, ec);
-  if (ec) {
-    fs::remove(tmp, ec);
-    throw std::runtime_error("partial: cannot publish " + path);
-  }
+  bytes += stream::seal(bytes);
+  util::publish_file(path, bytes);
 }
 
 PartialFile read_partial(const std::string& path) {
-  const std::string bytes = read_file(path);
-  if (bytes.size() < kTrailerSize) {
-    throw std::runtime_error("partial: " + path +
-                             ": truncated (no trailer)");
-  }
-  const char* trailer = bytes.data() + bytes.size() - kTrailerSize;
-  if (parse_u32(trailer + 16) != kPartialEndMagic) {
-    throw std::runtime_error("partial: " + path + ": bad trailer magic");
-  }
-  const std::uint64_t payload_size = parse_u64(trailer);
-  if (payload_size != bytes.size() - kTrailerSize) {
-    throw std::runtime_error(
-        util::format("partial: %s: size mismatch (trailer says %llu, file "
-                     "has %llu payload bytes)",
-                     path.c_str(),
-                     static_cast<unsigned long long>(payload_size),
-                     static_cast<unsigned long long>(bytes.size() -
-                                                     kTrailerSize)));
-  }
-  const std::uint64_t want = parse_u64(trailer + 8);
-  const std::uint64_t got =
-      fnv1a64(std::string_view(bytes.data(), payload_size));
-  if (want != got) {
-    throw std::runtime_error("partial: " + path + ": checksum mismatch");
-  }
+  std::string bytes = util::read_file(path);
+  bytes.resize(stream::unseal(bytes, "partial: " + path).size());
   try {
-    return parse_payload(bytes.substr(0, payload_size));
+    return parse_payload(bytes);
   } catch (const std::runtime_error& e) {
     throw std::runtime_error(path + ": " + e.what());
   }

@@ -20,21 +20,20 @@
 //       u8 system id; u64 chunk count; per chunk:
 //         u64 chunk index; serialized PipelineResult
 //     counter-delta table (stream::write_counter_table)
-//   trailer (20 bytes):
+//   trailer: stream::seal's 20 bytes, the one checkpoints carry too --
 //     u64 payload size, u64 FNV-1a of payload, u32 end magic "WSSE"
 //
 // The trailer detects torn writes: a partial whose size or checksum
 // disagrees is rejected by read_partial, the merge names it corrupt,
-// and the assignment is rerun. Publication is tmp + atomic rename, so
-// a complete file never coexists with a half-written one under the
-// final name -- the trailer guards against the crash-during-rename
-// filesystems that do not guarantee rename durability, and against
-// truncation by the fault-injection tests.
+// and the assignment is rerun. Publication is util::publish_file (tmp
+// + atomic rename), so a complete file never coexists with a half-
+// written one under the final name -- the trailer guards against the
+// crash-during-rename filesystems that do not guarantee rename
+// durability, and against truncation by the fault-injection tests.
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -45,7 +44,6 @@ namespace wss::dist {
 
 inline constexpr std::uint32_t kPartialMagic = 0x57535350u;  // "WSSP"
 inline constexpr std::uint32_t kPartialVersion = 1;
-inline constexpr std::uint32_t kPartialEndMagic = 0x57535345u;  // "WSSE"
 
 /// One chunk's un-finalized pipeline partial.
 struct ChunkPartial {
@@ -78,13 +76,9 @@ struct PartialFile {
 void save_result(stream::CheckpointWriter& w, const core::PipelineResult& r);
 core::PipelineResult load_result(stream::CheckpointReader& r);
 
-/// FNV-1a 64-bit over `bytes` (the trailer checksum).
-std::uint64_t fnv1a64(std::string_view bytes);
-
-/// Writes `partial` to `path` via tmp-file + atomic rename. The tmp
-/// name embeds `partial.instance`, so racing writers (stale-claim
-/// takeover) never interleave into one tmp file. Throws
-/// std::runtime_error on I/O failure.
+/// Seals `partial` and publishes it at `path` via util::publish_file,
+/// whose per-writer tmp name keeps racing writers (stale-claim
+/// takeover) apart. Throws std::runtime_error on I/O failure.
 void write_partial(const PartialFile& partial, const std::string& path);
 
 /// Reads and validates a partial file; throws std::runtime_error on

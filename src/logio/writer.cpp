@@ -1,11 +1,9 @@
 #include "logio/writer.hpp"
 
-#include <fstream>
 #include <map>
-#include <stdexcept>
 
 #include "compress/codec.hpp"
-#include "util/strings.hpp"
+#include "util/file.hpp"
 
 namespace wss::logio {
 
@@ -13,21 +11,10 @@ namespace {
 
 void write_file(const std::filesystem::path& path, const std::string& text,
                 bool compressed, WriteResult& result) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    throw std::runtime_error("write_log: cannot open " + path.string());
-  }
-  if (compressed) {
-    const std::string packed = compress::compress(text);
-    out.write(packed.data(), static_cast<std::streamsize>(packed.size()));
-    result.bytes_written += packed.size();
-  } else {
-    out.write(text.data(), static_cast<std::streamsize>(text.size()));
-    result.bytes_written += text.size();
-  }
-  if (!out) {
-    throw std::runtime_error("write_log: write failed for " + path.string());
-  }
+  const std::string packed = compressed ? compress::compress(text) : "";
+  const std::string_view bytes = compressed ? packed : text;
+  util::publish_file(path.string(), bytes);
+  result.bytes_written += bytes.size();
   ++result.files;
 }
 
@@ -70,12 +57,7 @@ WriteResult write_log(const sim::Simulator& simulator,
 }
 
 std::string read_log_text(const std::filesystem::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    throw std::runtime_error("read_log_text: cannot open " + path.string());
-  }
-  std::string data((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
+  std::string data = util::read_file(path.string());
   if (path.extension() == ".wsc") return compress::decompress(data);
   return data;
 }

@@ -13,7 +13,6 @@
 #include <cstring>
 #include <exception>
 #include <filesystem>
-#include <fstream>
 #include <mutex>
 #include <optional>
 #include <ostream>
@@ -31,6 +30,7 @@
 #include "net/socket.hpp"
 #include "obs/export.hpp"
 #include "parse/record.hpp"
+#include "util/file.hpp"
 #include "util/strings.hpp"
 
 namespace wss::net {
@@ -519,7 +519,6 @@ struct Server::Impl {
     stream::StreamItem& item = c.batch[c.batch_len++];
     item.client_us = 0;
     if (c.stamped) strip_stamp(frame, item.client_us);
-    item.index = c.tenant->next_index();
     item.line.assign(frame.data(), frame.size());
   }
 
@@ -751,7 +750,6 @@ struct Server::Impl {
       if (s.udp_batch_len == batch.size()) batch.emplace_back();
       stream::StreamItem& item = batch[s.udp_batch_len++];
       item.client_us = 0;
-      item.index = l.tenant->next_index();
       item.line.assign(data, len);
     };
     for (int i = 0; i < kMaxDatagramsPerWake; ++i) {
@@ -1084,16 +1082,21 @@ struct Server::Impl {
       report.tenants.push_back(std::move(tr));
 
       if (!opts.checkpoint_dir.empty()) {
-        std::filesystem::create_directories(opts.checkpoint_dir);
         const std::string path =
             (std::filesystem::path(opts.checkpoint_dir) / (t->name() + ".ckpt"))
                 .string();
-        std::ofstream out(path, std::ios::binary);
-        if (out) {
-          t->save_checkpoint(out);
+        // A failed publish loses only this tenant's file, never a table.
+        try {
+          std::filesystem::create_directories(opts.checkpoint_dir);
+          std::ostringstream bytes;
+          t->save_checkpoint(bytes);
+          util::publish_file(path, bytes.view());
           report.checkpoints.push_back(path);
-        } else if (opts.log != nullptr) {
-          *opts.log << "wss serve: cannot write checkpoint " << path << "\n";
+        } catch (const std::exception& e) {
+          if (opts.log != nullptr) {
+            *opts.log << "wss serve: cannot write checkpoint " << path << ": "
+                      << e.what() << "\n";
+          }
         }
       }
     }

@@ -8,13 +8,11 @@
 // this end to end).
 //
 // Threading contract:
-//   * The enqueue side (next_index/try_enqueue_batch/
-//     enqueue_batch_evicting/take_ring_drops) may be called
-//     from ANY event-loop shard concurrently: admission happens under
-//     the ring's own lock, the index and drop-publication counters are
-//     atomics. No shard-to-shard lock is added -- the ring's existing
-//     queue lock is the only synchronization point, taken once per
-//     batch.
+//   * The enqueue side (try_enqueue_batch/enqueue_batch_evicting/
+//     take_ring_drops) may be called from ANY event-loop shard
+//     concurrently: admission happens under the ring's own lock, and
+//     nothing per line is shared across shards -- that queue lock,
+//     taken once per batch, is the only synchronization point.
 //   * The consumer thread owns the pipeline exclusively until
 //     close_and_join() returns.
 //   * The consumer also writes event-loop shards' wake pipes: a shard
@@ -104,11 +102,6 @@ class Tenant {
   /// lost between the two.
   void watch_resume(std::size_t shard) {
     resume_waiters_.fetch_or(std::uint64_t{1} << shard);
-  }
-
-  /// Next per-tenant stream index for a StreamItem under construction.
-  std::uint64_t next_index() {
-    return item_index_.fetch_add(1, std::memory_order_relaxed);
   }
 
   /// Lossless bulk hand-off (the TCP path): swaps items[from..to) into
@@ -212,7 +205,6 @@ class Tenant {
   /// Published-drop watermark; advanced by CAS so concurrent shards
   /// (or an HTTP scrape racing a tick) never double-publish.
   std::atomic<std::uint64_t> published_ring_drops_{0};
-  std::atomic<std::uint64_t> item_index_{0};
 
   // Cached per-tenant metric handles (registration is cold).
   obs::Counter& delivered_ctr_;

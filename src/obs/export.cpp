@@ -1,9 +1,8 @@
 #include "obs/export.hpp"
 
-#include <cstdio>
-#include <fstream>
 #include <stdexcept>
 
+#include "util/file.hpp"
 #include "util/strings.hpp"
 
 namespace wss::obs {
@@ -140,23 +139,13 @@ void write_metrics_file(const std::string& path) {
   const MetricsSnapshot snap = registry().snapshot();
   const bool prom =
       path.size() >= 5 && path.compare(path.size() - 5, 5, ".prom") == 0;
-  // Write-then-rename so a long-running server can re-export on SIGHUP
-  // or per-scrape while a reader tails the file: the reader sees either
-  // the old export or the new one, never a torn write.
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream os(tmp, std::ios::binary);
-    if (!os) {
-      throw std::runtime_error("metrics: cannot open " + tmp);
-    }
-    os << (prom ? to_prometheus(snap) : to_json(snap));
-    os.flush();
-    if (!os) {
-      throw std::runtime_error("metrics: write failed: " + tmp);
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    throw std::runtime_error("metrics: cannot rename " + tmp + " to " + path);
+  // Published atomically so a long-running server can re-export on
+  // SIGHUP or per-scrape while a reader tails the file: the reader sees
+  // either the old export or the new one, never a torn write.
+  try {
+    util::publish_file(path, prom ? to_prometheus(snap) : to_json(snap));
+  } catch (const std::runtime_error& e) {
+    throw std::runtime_error(std::string("metrics: ") + e.what());
   }
 }
 

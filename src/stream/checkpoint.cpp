@@ -1,8 +1,44 @@
 #include "stream/checkpoint.hpp"
 
+#include <sstream>
 #include <stdexcept>
 
+#include "util/strings.hpp"
+
 namespace wss::stream {
+
+std::string seal(std::string_view payload) {
+  std::ostringstream trailer(std::ios::binary);
+  CheckpointWriter w(trailer);
+  w.u64(payload.size());
+  w.u64(util::fnv1a(payload));
+  w.u32(kSealMagic);
+  return std::move(trailer).str();
+}
+
+std::string_view unseal(std::string_view bytes, const std::string& what) {
+  if (bytes.size() < kSealSize) {
+    throw std::runtime_error(what + ": truncated (no trailer)");
+  }
+  const std::string_view payload = bytes.substr(0, bytes.size() - kSealSize);
+  std::istringstream trailer(std::string(bytes.substr(payload.size())),
+                             std::ios::binary);
+  CheckpointReader r(trailer);
+  const std::uint64_t size = r.u64();
+  const std::uint64_t sum = r.u64();
+  if (r.u32() != kSealMagic) {
+    throw std::runtime_error(what + ": bad trailer magic");
+  }
+  if (size != payload.size()) {
+    throw std::runtime_error(util::format(
+        "%s: size mismatch (trailer says %llu, file has %zu payload bytes)",
+        what.c_str(), static_cast<unsigned long long>(size), payload.size()));
+  }
+  if (sum != util::fnv1a(payload)) {
+    throw std::runtime_error(what + ": checksum mismatch");
+  }
+  return payload;
+}
 
 void CheckpointWriter::raw(const void* p, std::size_t n) {
   os_.write(static_cast<const char*>(p), static_cast<std::streamsize>(n));
@@ -74,16 +110,11 @@ void CheckpointReader::header() {
     throw std::runtime_error("checkpoint: bad magic (not a wss checkpoint)");
   }
   const std::uint32_t version = u32();
-  if (version == 2) {
-    // The one upgrade path users actually hit: a v2 file from a
-    // pre-prediction build. Name the cure, not just the number.
-    throw std::runtime_error(
-        "checkpoint: unsupported version 2 (v3 adds the prediction stage; "
-        "regenerate the checkpoint with this build)");
-  }
   if (version != kCheckpointVersion) {
-    throw std::runtime_error("checkpoint: unsupported version " +
-                             std::to_string(version));
+    throw std::runtime_error(util::format(
+        "checkpoint: unsupported version %u (this build reads v%u; "
+        "regenerate the checkpoint with this build)",
+        version, kCheckpointVersion));
   }
 }
 

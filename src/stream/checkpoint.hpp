@@ -11,9 +11,10 @@
 //
 // The format is deliberately dumb: a magic/version header, then a flat
 // sequence of typed fields in a fixed order defined by the save()/
-// load() pairs of each streaming class. There is no schema evolution;
-// a version bump invalidates old checkpoints (they cover hours of
-// stream, not years of archive).
+// load() pairs of each streaming class, then (since v4) the seal()
+// trailer -- the one dist partial files carry too. There is no schema
+// evolution; a version bump invalidates old checkpoints (they cover
+// hours of stream, not years of archive).
 #pragma once
 
 #include <bit>
@@ -33,8 +34,20 @@ namespace wss::stream {
 /// the same --metrics snapshot as an uninterrupted run).
 /// v3: adds the prediction stage -- PredictOptions always, and when
 /// prediction is enabled the full miner/predictor/pending state.
+/// v4: v3 plus the seal() trailer; written via util::publish_file.
 inline constexpr std::uint32_t kCheckpointMagic = 0x57535343u;  // "WSSC"
-inline constexpr std::uint32_t kCheckpointVersion = 3;
+inline constexpr std::uint32_t kCheckpointVersion = 4;
+
+/// The 20-byte trailer that seals `payload` when appended to it: u64
+/// payload size, u64 util::fnv1a of the payload, u32 end magic.
+inline constexpr std::uint32_t kSealMagic = 0x57535345u;  // "WSSE"
+inline constexpr std::size_t kSealSize = 8 + 8 + 4;
+std::string seal(std::string_view payload);
+
+/// Checks the trailer of `bytes` and returns the payload it covers;
+/// throws one line "<what>: truncated (no trailer)" / "bad trailer
+/// magic" / "size mismatch (...)" / "checksum mismatch".
+std::string_view unseal(std::string_view bytes, const std::string& what);
 
 /// Little-endian fixed-width field writer.
 class CheckpointWriter {
@@ -74,7 +87,8 @@ class CheckpointReader {
   bool boolean() { return u8() != 0; }
   std::string str();
 
-  /// Reads and validates the standard header.
+  /// Reads and validates the standard header (any other version is
+  /// refused naming both versions and the cure).
   void header();
 
  private:

@@ -1,6 +1,8 @@
 #include "stream/pipeline.hpp"
 
 #include <chrono>
+#include <iterator>
+#include <sstream>
 #include <stdexcept>
 
 #include "parse/dispatch.hpp"
@@ -220,7 +222,8 @@ void StreamPipeline::save(std::ostream& os) {
   // Publish first: the serialized registry must already contain every
   // pending delta, so restore can simply re-base the flushers.
   publish_metrics();
-  CheckpointWriter w(os);
+  std::ostringstream payload(std::ios::binary);
+  CheckpointWriter w(payload);
   w.header();
   w.u8(static_cast<std::uint8_t>(system_));
 
@@ -261,12 +264,21 @@ void StreamPipeline::save(std::ostream& os) {
   // measure this process's wall time and are deliberately absent.
   write_counter_table(w, obs::registry().counter_values());
   write_gauge_table(w, obs::registry().gauge_values());
-  if (!w.ok()) throw std::runtime_error("checkpoint: write failed");
+
+  os << payload.view() << seal(payload.view());
+  if (!os) throw std::runtime_error("checkpoint: write failed");
 }
 
 void StreamPipeline::restore(std::istream& is) {
-  CheckpointReader r(is);
+  const std::string bytes{std::istreambuf_iterator<char>(is),
+                          std::istreambuf_iterator<char>()};
+  std::istringstream body(bytes, std::ios::binary);
+  CheckpointReader r(body);
+  // Magic and version before the trailer: an old file is told to
+  // regenerate, not that its trailer is missing. The parse below stops
+  // where the trailer starts.
   r.header();
+  unseal(bytes, "checkpoint");
   const auto sys = static_cast<parse::SystemId>(r.u8());
   if (sys != system_) {
     throw std::runtime_error("checkpoint: system mismatch");

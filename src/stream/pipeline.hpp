@@ -110,13 +110,16 @@ class StreamPipeline {
   /// Serializes the full engine state, including the obs registry's
   /// counter/gauge tables (checkpoint v2) -- restore-and-finish then
   /// reports the same --metrics counters as an uninterrupted run.
-  /// Publishes pending metric deltas first (hence non-const). Throws
+  /// Publishes pending metric deltas first (hence non-const). Writes
+  /// checkpoint v4 (sealed by stream::seal). Throws
   /// std::runtime_error on a write failure.
   void save(std::ostream& os);
 
-  /// Restores a checkpoint written by save() for the same system.
-  /// Replaces options, all accumulator state, and the process-wide obs
-  /// counters/gauges; the sink is kept.
+  /// Restores a checkpoint written by save() for the same system,
+  /// reading `is` to its end; a wrong version, trailer or payload
+  /// throws a one-line std::runtime_error. Replaces options, all
+  /// accumulator state, and the process-wide obs counters/gauges; the
+  /// sink is kept.
   void restore(std::istream& is);
 
  private:

@@ -11,6 +11,7 @@
 #include <sstream>
 
 #include "cli/commands.hpp"
+#include "util/file.hpp"
 
 namespace wss::cli {
 namespace {
@@ -141,6 +142,22 @@ TEST_F(CliNegativeTest, StreamRestoreFromMissingFileFails) {
                         (dir_ / "nope.ckpt").string()}),
             1);
   expect_one_line_error("cannot open");
+}
+
+TEST_F(CliNegativeTest, StreamRestoreOfFlippedByteNamesChecksum) {
+  const std::string ckpt = (dir_ / "flip.ckpt").string();
+  ASSERT_EQ(run_tokens({"stream", "--system", "liberty", "--cap", "200",
+                        "--chatter", "1000", "--checkpoint", ckpt}),
+            0)
+      << err_.str();
+  std::string bytes = util::read_file(ckpt);
+  // Past the 8-byte header, inside the payload the trailer covers.
+  ASSERT_GT(bytes.size(), 64u);
+  bytes[bytes.size() / 2] ^= 0x01;
+  util::publish_file(ckpt, bytes);
+  EXPECT_EQ(run_tokens({"stream", "--system", "liberty", "--restore", ckpt}),
+            1);
+  expect_one_line_error("checksum");
 }
 
 TEST_F(CliNegativeTest, StudyRejectsUnknownSystemAndBadThreshold) {

@@ -597,6 +597,82 @@ TEST_F(NetServerTest, DrainWritesCheckpointsLoadableByWssStream) {
   fs::remove_all(dir);
 }
 
+class NetServerCheckpointTest : public NetServerTest {
+ protected:
+  /// Serves tenants "a" and "b" (one TCP port and one line each) with
+  /// `checkpoint_dir`, then drains; log_ collects the diagnostics.
+  ServeReport serve_two_and_drain(const std::string& checkpoint_dir) {
+    ServeOptions opts;
+    opts.tcp.push_back({0, "a"});
+    opts.tcp.push_back({0, "b"});
+    opts.tenants.push_back(tenant("a", parse::SystemId::kLiberty));
+    opts.tenants.push_back(tenant("b", parse::SystemId::kLiberty));
+    opts.checkpoint_dir = checkpoint_dir;
+    opts.log = &log_;
+    start(std::move(opts));
+    for (std::size_t port = 0; port < 2; ++port) {
+      SinkOptions sopts;
+      sopts.endpoint = {Transport::kTcp, "127.0.0.1",
+                        server_->tcp_port(port)};
+      SinkClient client(sopts);
+      client.send(0, "drained line");
+      client.close();
+    }
+    wait_status_contains("\"name\":\"a\",\"system\":\"liberty\",\"delivered\":1");
+    wait_status_contains("\"name\":\"b\",\"system\":\"liberty\",\"delivered\":1");
+    return stop();
+  }
+
+  std::size_t log_lines_containing(const std::string& needle) const {
+    std::istringstream lines(log_.str());
+    std::size_t n = 0;
+    for (std::string line; std::getline(lines, line);) {
+      n += line.find(needle) != std::string::npos;
+    }
+    return n;
+  }
+
+  std::ostringstream log_;
+};
+
+TEST_F(NetServerCheckpointTest, UncreatableDirStillReportsEveryTenant) {
+  // --checkpoint-dir names an existing regular file: no checkpoint can
+  // be published, but the drain still reports both tenants' tables and
+  // logs one line per lost checkpoint.
+  const fs::path file = fs::temp_directory_path() /
+                        ("wss_net_ckfile_" + std::to_string(::getpid()));
+  std::ofstream(file) << "not a directory\n";
+
+  const ServeReport report = serve_two_and_drain(file.string());
+  ASSERT_EQ(report.tenants.size(), 2u);
+  for (const ServeTenantReport& t : report.tenants) {
+    EXPECT_EQ(t.delivered, 1u) << t.name;
+    EXPECT_FALSE(t.table.empty()) << t.name;
+  }
+  EXPECT_TRUE(report.checkpoints.empty());
+  EXPECT_EQ(log_lines_containing("cannot write checkpoint"), 2u)
+      << log_.str();
+  fs::remove(file);
+}
+
+TEST_F(NetServerCheckpointTest, OneFailedPublishKeepsTheOthersListed) {
+  // b.ckpt is an existing directory, so only b's publish fails.
+  const fs::path dir = fs::temp_directory_path() /
+                       ("wss_net_ckmix_" + std::to_string(::getpid()));
+  fs::create_directories(dir / "b.ckpt");
+
+  const ServeReport report = serve_two_and_drain(dir.string());
+  ASSERT_EQ(report.tenants.size(), 2u);
+  ASSERT_EQ(report.checkpoints.size(), 1u);
+  EXPECT_EQ(fs::path(report.checkpoints[0]).filename().string(), "a.ckpt");
+  EXPECT_EQ(log_lines_containing("b.ckpt"), 1u) << log_.str();
+  // Nothing half-written is left behind.
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    EXPECT_NE(entry.path().extension().string(), ".tmp") << entry.path();
+  }
+  fs::remove_all(dir);
+}
+
 TEST_F(NetServerTest, PredictCountersReconcileWithInjectedIncidents) {
   // A predict-enabled tenant fed a rendered Liberty stream over
   // loopback TCP: the per-tenant wss_predict_* counters must equal

@@ -265,23 +265,32 @@ TEST(StreamCheckpoint, RejectsV2WithUpgradeDiagnostic) {
   stream::StreamPipeline p(parse::SystemId::kLiberty);
   std::stringstream checkpoint;
   p.save(checkpoint);
-  std::string bytes = checkpoint.str();
-  // The header is magic(u32 LE) then version(u32 LE): rewrite the
-  // version field to 2, as a pre-prediction build would have written.
-  ASSERT_GE(bytes.size(), 8u);
-  bytes[4] = 2;
-  bytes[5] = bytes[6] = bytes[7] = 0;
-  std::stringstream v2(bytes);
-  stream::StreamPipeline q(parse::SystemId::kLiberty);
-  try {
-    q.restore(v2);
-    FAIL() << "v2 checkpoint was accepted";
-  } catch (const std::runtime_error& e) {
-    // One line, names the version AND the cure.
-    const std::string what = e.what();
-    EXPECT_NE(what.find("unsupported version 2"), std::string::npos) << what;
-    EXPECT_NE(what.find("regenerate"), std::string::npos) << what;
-    EXPECT_EQ(what.find('\n'), std::string::npos) << what;
+  // v2 is a pre-prediction build's file, v3 one without the trailer:
+  // both get the same one-line cure.
+  for (const int old_version : {2, 3}) {
+    SCOPED_TRACE(old_version);
+    std::string bytes = checkpoint.str();
+    // The header is magic(u32 LE) then version(u32 LE): rewrite the
+    // version field, as an older build would have written.
+    ASSERT_GE(bytes.size(), 8u);
+    bytes[4] = static_cast<char>(old_version);
+    bytes[5] = bytes[6] = bytes[7] = 0;
+    std::stringstream old(bytes);
+    stream::StreamPipeline q(parse::SystemId::kLiberty);
+    try {
+      q.restore(old);
+      FAIL() << "old checkpoint was accepted";
+    } catch (const std::runtime_error& e) {
+      // One line, names both versions AND the cure.
+      const std::string what = e.what();
+      EXPECT_NE(what.find("unsupported version " +
+                          std::to_string(old_version)),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find("v4"), std::string::npos) << what;
+      EXPECT_NE(what.find("regenerate"), std::string::npos) << what;
+      EXPECT_EQ(what.find('\n'), std::string::npos) << what;
+    }
   }
 }
 

@@ -1,10 +1,14 @@
-// Tests for the table, chart, and CSV rendering helpers.
+// Tests for the table, chart, and CSV rendering helpers, and the file
+// publisher every output goes through.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <filesystem>
 #include <sstream>
 
 #include "util/chart.hpp"
 #include "util/csv.hpp"
+#include "util/file.hpp"
 #include "util/table.hpp"
 
 namespace wss::util {
@@ -94,6 +98,52 @@ TEST(Csv, WritesRows) {
   w.row({"a", "b,c"});
   w.row_numeric({1.5, 2.0});
   EXPECT_EQ(os.str(), "a,\"b,c\"\n1.5,2\n");
+}
+
+class PublishFile : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    dir_ = std::filesystem::temp_directory_path() /
+           ("wss_publish_" + std::to_string(::getpid()) + "_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name());
+    std::filesystem::create_directories(dir_);
+  }
+  void TearDown() override { std::filesystem::remove_all(dir_); }
+
+  std::size_t tmp_files() const {
+    std::size_t n = 0;
+    for (const auto& e : std::filesystem::directory_iterator(dir_)) {
+      n += e.path().extension() == ".tmp";
+    }
+    return n;
+  }
+
+  std::filesystem::path dir_;
+};
+
+TEST_F(PublishFile, ReplacesAnExistingFileWhole) {
+  const std::string path = (dir_ / "out.txt").string();
+  publish_file(path, "a much longer first version\n");
+  publish_file(path, "short\n");
+  EXPECT_EQ(read_file(path), "short\n");
+  EXPECT_EQ(tmp_files(), 0u);
+}
+
+TEST_F(PublishFile, FailedRenameThrowsOneLineAndLeavesNoTmp) {
+  // The target is an existing directory: the tmp file is written, the
+  // rename over it fails, and the tmp file is removed again.
+  const std::string path = (dir_ / "taken").string();
+  std::filesystem::create_directories(path);
+  try {
+    publish_file(path, "bytes");
+    FAIL() << "publish over a directory succeeded";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("cannot publish " + path), std::string::npos) << what;
+    EXPECT_EQ(what.find('\n'), std::string::npos) << what;
+  }
+  EXPECT_TRUE(std::filesystem::is_directory(path));
+  EXPECT_EQ(tmp_files(), 0u);
 }
 
 }  // namespace
