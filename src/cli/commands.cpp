@@ -259,9 +259,9 @@ void print_usage(std::ostream& os) {
         "             [--threshold SEC] [--window SEC] [--refresh N]\n"
         "             [--checkpoint PATH] [--restore PATH]\n"
         "             [--max-events N] [--emit PATH]\n"
-        "             [--predict]  online failure prediction: mines\n"
-        "             episode rules + runs the predictor ensemble over\n"
-        "             the alert stream ([--predict-train N] alerts of\n"
+        "             [--predict]  online failure prediction: runs the\n"
+        "             predictor ensemble (rate burst, precursor, periodic)\n"
+        "             over the alert stream ([--predict-train N] alerts of\n"
         "             self-training, [--predict-horizon SEC] window);\n"
         "             predictions ride --emit as 'P' lines\n"
         "             SIGINT/SIGTERM drain gracefully: finish in-flight\n"

@@ -35,8 +35,10 @@ namespace wss::stream {
 /// v3: adds the prediction stage -- PredictOptions always, and when
 /// prediction is enabled the full miner/predictor/pending state.
 /// v4: v3 plus the seal() trailer; written via util::publish_file.
+/// v5: the episode miner is gone -- no miner state, and PredictOptions
+/// carries only enabled, train_alerts and horizon_us.
 inline constexpr std::uint32_t kCheckpointMagic = 0x57535343u;  // "WSSC"
-inline constexpr std::uint32_t kCheckpointVersion = 4;
+inline constexpr std::uint32_t kCheckpointVersion = 5;
 
 /// The 20-byte trailer that seals `payload` when appended to it: u64
 /// payload size, u64 util::fnv1a of the payload, u32 end magic.

@@ -211,8 +211,6 @@ StreamSnapshot StreamPipeline::snapshot() const {
     s.predict_misses = ps.misses;
     s.predict_false_alarms = ps.false_alarms;
     s.predict_incidents = ps.incidents;
-    s.predict_rules = ps.rules;
-    s.predict_candidates = ps.candidates;
     s.predict_routed = ps.routed;
   }
   return s;
@@ -244,8 +242,6 @@ void StreamPipeline::save(std::ostream& os) {
   w.boolean(opts_.predict.enabled);
   w.u64(opts_.predict.train_alerts);
   w.i64(opts_.predict.horizon_us);
-  w.u64(opts_.predict.max_candidates);
-  w.f64(opts_.predict.min_f1);
 
   study_.save(w);
   filter_.save(w);
@@ -299,8 +295,6 @@ void StreamPipeline::restore(std::istream& is) {
   po.enabled = r.boolean();
   po.train_alerts = static_cast<std::size_t>(r.u64());
   po.horizon_us = r.i64();
-  po.max_candidates = static_cast<std::size_t>(r.u64());
-  po.min_f1 = r.f64();
 
   opts_.study = so;
   opts_.strict_order = strict;

@@ -108,10 +108,10 @@ class StreamPipeline {
   void publish_metrics();
 
   /// Serializes the full engine state, including the obs registry's
-  /// counter/gauge tables (checkpoint v2) -- restore-and-finish then
-  /// reports the same --metrics counters as an uninterrupted run.
-  /// Publishes pending metric deltas first (hence non-const). Writes
-  /// checkpoint v4 (sealed by stream::seal). Throws
+  /// counter/gauge tables -- restore-and-finish then reports the same
+  /// --metrics counters as an uninterrupted run. Publishes pending
+  /// metric deltas first (hence non-const). Writes checkpoint
+  /// kCheckpointVersion (sealed by stream::seal). Throws
   /// std::runtime_error on a write failure.
   void save(std::ostream& os);
 

@@ -9,8 +9,7 @@ namespace wss::stream {
 
 namespace {
 
-/// Incident-detection quiet gap (matches the batch predictors and the
-/// episode miner).
+/// Incident-detection quiet gap (matches the batch predictors).
 constexpr util::TimeUs kIncidentGapUs = 30 * util::kUsPerSec;
 
 /// seen_failures_ horizon: a failure id older than this of stream time
@@ -62,19 +61,15 @@ PredictStage::PredictStage(const PredictOptions& opts) : opts_(opts) {
   popts.window_us = opts_.horizon_us;
   auto prec = std::make_unique<predict::PrecursorPredictor>(popts);
   auto peri = std::make_unique<predict::PeriodicPredictor>();
-  mine::EpisodeOptions eopts;
-  eopts.window_us = opts_.horizon_us;
-  eopts.max_candidates = opts_.max_candidates;
-  auto epi = std::make_unique<predict::EpisodeRulePredictor>(eopts);
   rate_burst_ = rate.get();
   precursor_ = prec.get();
   periodic_ = peri.get();
-  episode_ = epi.get();
+  // The one place ensemble membership is decided. The routing table
+  // (and so a checkpoint) stores member indices in this order.
   std::vector<std::unique_ptr<predict::Predictor>> members;
   members.push_back(std::move(rate));
   members.push_back(std::move(prec));
   members.push_back(std::move(peri));
-  members.push_back(std::move(epi));
   ensemble_ = std::make_unique<predict::EnsemblePredictor>(std::move(members));
 }
 
@@ -147,9 +142,8 @@ void PredictStage::fit() {
   precursor_->fit(training_);
   periodic_->fit(training_);
   // fit_routing streams the training vector through every member once
-  // (and resets their streaming state after) -- that pass is also the
-  // episode miner's training pass, so no separate episode fit here.
-  ensemble_->fit_routing(training_, opts_.min_f1);
+  // and resets their streaming state after.
+  ensemble_->fit_routing(training_);
   fitted_ = true;
   training_.clear();
   training_.shrink_to_fit();
@@ -192,8 +186,6 @@ PredictStats PredictStage::stats() const {
   s.misses = misses_;
   s.false_alarms = false_alarms_;
   s.incidents = incidents_;
-  s.rules = episode_->miner().rules().size();
-  s.candidates = episode_->miner().candidate_count();
   s.routed = ensemble_->routing().size();
   return s;
 }
@@ -230,7 +222,6 @@ void PredictStage::save(CheckpointWriter& w) const {
   rate_burst_->save(w);
   precursor_->save(w);
   periodic_->save(w);
-  episode_->save(w);
   ensemble_->save_routing(w);
 
   w.u64(static_cast<std::uint64_t>(seen_failures_.size()));
@@ -284,7 +275,6 @@ void PredictStage::load(CheckpointReader& r) {
   rate_burst_->load(r);
   precursor_->load(r);
   periodic_->load(r);
-  episode_->load(r);
   ensemble_->load_routing(r);
 
   seen_failures_.clear();

@@ -1,17 +1,13 @@
 // Online failure prediction as a pipeline stage.
 //
-// Runs the Section 5 ensemble (rate-burst, precursor, periodic, plus
-// the live episode-rule member backed by mine::EpisodeMiner) over the
-// offered alert stream inside StreamPipeline. The stage has three
+// Runs the Section 5 ensemble (rate-burst, precursor, periodic) over
+// the offered alert stream inside StreamPipeline. The stage has three
 // jobs:
 //
 //  1. *Self-training.* The first `train_alerts` offered alerts are
 //     buffered; at the boundary the batch fit steps run once
-//     (precursor pairs, periodic periods, ensemble routing -- the
-//     routing pass also gives the episode miner its single training
-//     pass) and the buffer is dropped. Until then no predictions are
-//     issued. The episode miner keeps accumulating after the boundary,
-//     so episode rules sharpen without a refit.
+//     (precursor pairs, periodic periods, ensemble routing) and the
+//     buffer is dropped. Until then no predictions are issued.
 //
 //  2. *Lead-time accounting.* Every issued prediction is held in a
 //     pending set until its window closes. Incidents are detected
@@ -28,19 +24,17 @@
 //     exact over the whole stream.
 //
 //  3. *Bit-exact checkpointing.* save()/load() carry the training
-//     buffer, every member's learned + streaming state, the miner's
-//     candidate table and ban set, the pending set, and all counters,
-//     so restore-and-finish emits byte-identical predictions to an
-//     uninterrupted run (checkpoint v3). Like the ingest-latency
-//     histogram, the lead-time histogram is live-only and not
-//     checkpointed.
+//     buffer, every member's learned + streaming state, the routing
+//     table, the pending set, and all counters, so restore-and-finish
+//     emits byte-identical predictions to an uninterrupted run
+//     (checkpoint v5). Like the ingest-latency histogram, the
+//     lead-time histogram is live-only and not checkpointed.
 #pragma once
 
 #include <functional>
 #include <map>
 
 #include "predict/ensemble.hpp"
-#include "predict/episode_rule.hpp"
 #include "predict/periodic.hpp"
 #include "predict/precursor.hpp"
 #include "predict/rate_burst.hpp"
@@ -53,13 +47,9 @@ struct PredictOptions {
   bool enabled = false;
   /// Offered alerts buffered before the one-shot fit.
   std::size_t train_alerts = 4096;
-  /// Prediction/episode window (precursor window_us, episode
-  /// window_us; the other members keep their own defaults).
+  /// Prediction window (the precursor member's window_us; the other
+  /// members keep their own defaults).
   util::TimeUs horizon_us = 10 * util::kUsPerMin;
-  /// Episode miner candidate-table cap.
-  std::size_t max_candidates = 4096;
-  /// Routing floor for the ensemble fit.
-  double min_f1 = 0.02;
 };
 
 /// Point-in-time prediction tallies (StreamSnapshot payload and the
@@ -71,9 +61,7 @@ struct PredictStats {
   std::uint64_t misses = 0;
   std::uint64_t false_alarms = 0;
   std::uint64_t incidents = 0;
-  std::size_t rules = 0;       ///< episode rules above floors
-  std::size_t candidates = 0;  ///< miner candidate-table size
-  std::size_t routed = 0;      ///< ensemble routed categories
+  std::size_t routed = 0;  ///< ensemble routed categories
 };
 
 /// The online prediction stage (see file comment).
@@ -97,7 +85,6 @@ class PredictStage {
   PredictStats stats() const;
   bool fitted() const { return fitted_; }
   const PredictOptions& options() const { return opts_; }
-  const mine::EpisodeMiner& miner() const { return episode_->miner(); }
   const predict::EnsemblePredictor& ensemble() const { return *ensemble_; }
 
   /// Publishes counter growth since the last publish to the global
@@ -125,7 +112,6 @@ class PredictStage {
   predict::RateBurstPredictor* rate_burst_ = nullptr;
   predict::PrecursorPredictor* precursor_ = nullptr;
   predict::PeriodicPredictor* periodic_ = nullptr;
-  predict::EpisodeRulePredictor* episode_ = nullptr;
   std::unique_ptr<predict::EnsemblePredictor> ensemble_;
 
   bool fitted_ = false;

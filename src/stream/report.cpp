@@ -58,7 +58,7 @@ std::string render_snapshot(const StreamSnapshot& s) {
   if (s.predict_enabled) {
     os << util::format(
         "  predict%s: %s issued, %s hits / %s misses / %s false alarms "
-        "(%s incidents), %zu rules, %zu routed\n",
+        "(%s incidents), %zu routed\n",
         s.predict_fitted ? "" : " (training)",
         util::with_commas(
             static_cast<std::int64_t>(s.predict_issued)).c_str(),
@@ -69,7 +69,7 @@ std::string render_snapshot(const StreamSnapshot& s) {
             static_cast<std::int64_t>(s.predict_false_alarms)).c_str(),
         util::with_commas(
             static_cast<std::int64_t>(s.predict_incidents)).c_str(),
-        s.predict_rules, s.predict_routed);
+        s.predict_routed);
   }
 
   if (s.gap_count > 0) {

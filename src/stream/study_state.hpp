@@ -120,9 +120,7 @@ struct StreamSnapshot {
   std::uint64_t predict_misses = 0;
   std::uint64_t predict_false_alarms = 0;
   std::uint64_t predict_incidents = 0;
-  std::size_t predict_rules = 0;       ///< episode rules above floors
-  std::size_t predict_candidates = 0;  ///< miner candidate-table size
-  std::size_t predict_routed = 0;      ///< ensemble routed categories
+  std::size_t predict_routed = 0;  ///< ensemble routed categories
 
   /// Cumulative per-category weighted rate (alerts/day of stream time);
   /// empty before the first event.

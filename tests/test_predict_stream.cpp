@@ -7,10 +7,10 @@
 // The stream side offers ground-truth alerts to the stage (the
 // event-ingest path constructs them exactly as
 // Simulator::ground_truth_alerts() does), so the batch reference is
-// the same four-member ensemble (rate burst, precursor, periodic,
-// episode rule) fitted on the first train_alerts alerts and run over
-// the remainder. Sets are compared canonically sorted -- the ensemble
-// drain order is not part of the contract.
+// the same three-member ensemble (rate burst, precursor, periodic)
+// fitted on the first train_alerts alerts and run over the remainder.
+// Sets are compared canonically sorted -- the ensemble drain order is
+// not part of the contract.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,9 +19,7 @@
 #include <vector>
 
 #include "core/study.hpp"
-#include "mine/episodes.hpp"
 #include "predict/ensemble.hpp"
-#include "predict/episode_rule.hpp"
 #include "predict/periodic.hpp"
 #include "predict/precursor.hpp"
 #include "predict/rate_burst.hpp"
@@ -62,17 +60,12 @@ std::vector<predict::Prediction> batch_predictions(
   popts.window_us = opts.horizon_us;
   auto prec = std::make_unique<predict::PrecursorPredictor>(popts);
   auto peri = std::make_unique<predict::PeriodicPredictor>();
-  mine::EpisodeOptions eopts;
-  eopts.window_us = opts.horizon_us;
-  eopts.max_candidates = opts.max_candidates;
-  auto epi = std::make_unique<predict::EpisodeRulePredictor>(eopts);
   auto* prec_raw = prec.get();
   auto* peri_raw = peri.get();
   std::vector<std::unique_ptr<predict::Predictor>> members;
   members.push_back(std::move(rate));
   members.push_back(std::move(prec));
   members.push_back(std::move(peri));
-  members.push_back(std::move(epi));
   predict::EnsemblePredictor ensemble(std::move(members));
 
   const std::size_t cut = std::min(opts.train_alerts, alerts.size());
@@ -81,7 +74,7 @@ std::vector<predict::Prediction> batch_predictions(
                                              static_cast<std::ptrdiff_t>(cut));
   prec_raw->fit(train);
   peri_raw->fit(train);
-  ensemble.fit_routing(train, opts.min_f1);
+  ensemble.fit_routing(train);
 
   const std::vector<filter::Alert> test(
       alerts.begin() + static_cast<std::ptrdiff_t>(cut), alerts.end());

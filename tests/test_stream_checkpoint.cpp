@@ -69,8 +69,6 @@ void expect_snapshots_identical(const stream::StreamSnapshot& a,
   EXPECT_EQ(a.predict_misses, b.predict_misses);
   EXPECT_EQ(a.predict_false_alarms, b.predict_false_alarms);
   EXPECT_EQ(a.predict_incidents, b.predict_incidents);
-  EXPECT_EQ(a.predict_rules, b.predict_rules);
-  EXPECT_EQ(a.predict_candidates, b.predict_candidates);
   EXPECT_EQ(a.predict_routed, b.predict_routed);
 }
 
@@ -210,9 +208,9 @@ TEST(StreamCheckpoint, PredictStateRoundTripsMidTrainingAndPostFit) {
   ASSERT_GT(total_alerts, 100u);
 
   // Two training sizes, chosen against the cut: a small one so the cut
-  // lands AFTER fit (live miner, routing, and pending windows cross
-  // the checkpoint) and a huge one so the cut lands MID-TRAINING (the
-  // training buffer itself crosses).
+  // lands AFTER fit (member streaming state, routing, and pending
+  // windows cross the checkpoint) and a huge one so the cut lands
+  // MID-TRAINING (the training buffer itself crosses).
   for (const std::size_t train_alerts :
        {total_alerts / 10, total_alerts * 2}) {
     SCOPED_TRACE(testing::Message() << "train_alerts " << train_alerts);
@@ -265,9 +263,9 @@ TEST(StreamCheckpoint, RejectsV2WithUpgradeDiagnostic) {
   stream::StreamPipeline p(parse::SystemId::kLiberty);
   std::stringstream checkpoint;
   p.save(checkpoint);
-  // v2 is a pre-prediction build's file, v3 one without the trailer:
-  // both get the same one-line cure.
-  for (const int old_version : {2, 3}) {
+  // v2 is a pre-prediction build's file, v3 one without the trailer,
+  // v4 one with episode-miner state: all get the same one-line cure.
+  for (const int old_version : {2, 3, 4}) {
     SCOPED_TRACE(old_version);
     std::string bytes = checkpoint.str();
     // The header is magic(u32 LE) then version(u32 LE): rewrite the
@@ -287,7 +285,7 @@ TEST(StreamCheckpoint, RejectsV2WithUpgradeDiagnostic) {
                           std::to_string(old_version)),
                 std::string::npos)
           << what;
-      EXPECT_NE(what.find("v4"), std::string::npos) << what;
+      EXPECT_NE(what.find("v5"), std::string::npos) << what;
       EXPECT_NE(what.find("regenerate"), std::string::npos) << what;
       EXPECT_EQ(what.find('\n'), std::string::npos) << what;
     }
