@@ -397,7 +397,7 @@ int cmd_generate(const Args& args, std::ostream& out, std::ostream& err) {
     int rc = 0;
     try {
       replayer.run([&](std::size_t, const sim::SimEvent& e,
-                       std::string&& line) {
+                       std::string_view line) {
         if (drain.stopped()) return false;
         client->send(e.time, line);
         return true;
@@ -435,7 +435,7 @@ int cmd_generate(const Args& args, std::ostream& out, std::ostream& err) {
     ropts.speed = speed;
     const sim::Replayer replayer(simulator, ropts);
     const std::size_t lines = replayer.run(
-        [&](std::size_t, const sim::SimEvent&, std::string&& line) {
+        [&](std::size_t, const sim::SimEvent&, std::string_view line) {
           dst << line << '\n';
           if (speed > 0.0) dst.flush();  // live consumers want lines now
           return static_cast<bool>(dst);
@@ -784,7 +784,7 @@ int cmd_stream(const Args& args, std::ostream& out, std::ostream& err) {
       ropts.cancel = &net::ShutdownSignal::stop_requested;
       const sim::Replayer replayer(simulator, ropts);
       replayer.run([&](std::size_t, const sim::SimEvent& e,
-                       std::string&& line) {
+                       std::string_view line) {
         pipeline.ingest(e, line);
         ++ingested;
         tick();

@@ -47,7 +47,7 @@ Table2Row table2_row(Study& study, parse::SystemId id) {
       std::min<std::size_t>(kCompressionSampleLines, sim.events().size());
   sample.reserve(n * 96);
   for (std::size_t i = 0; i < n; ++i) {
-    sample.append(sim.line(i));
+    sim.renderer().render_into(sim.events()[i], i, sample);
     sample.push_back('\n');
   }
   row.compressed_fraction = compress::compression_fraction(sample);

@@ -1,6 +1,7 @@
 #include "core/pipeline.hpp"
 
 #include <iterator>
+#include <string>
 
 #include "parse/dispatch.hpp"
 
@@ -86,9 +87,11 @@ PipelineResult process_chunk(const ChunkContext& ctx, std::size_t begin,
   const sim::Simulator& simulator = *ctx.simulator;
   PipelineResult r = make_partial(ctx);
   const auto& events = simulator.events();
+  std::string line;  // every line of the chunk renders into this buffer
   for (std::size_t i = begin; i < end; ++i) {
-    process_line(ctx, events[i], simulator.renderer().render(events[i], i), r,
-                 scratch);
+    line.clear();
+    simulator.renderer().render_into(events[i], i, line);
+    process_line(ctx, events[i], line, r, scratch);
   }
   return r;
 }

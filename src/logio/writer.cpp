@@ -30,8 +30,9 @@ WriteResult write_log(const sim::Simulator& simulator,
     // syslog-ng layout: one subdirectory per source node.
     std::map<std::uint32_t, std::string> per_source;
     for (std::size_t i = 0; i < simulator.events().size(); ++i) {
-      auto& text = per_source[simulator.events()[i].source];
-      text.append(simulator.line(i));
+      const sim::SimEvent& e = simulator.events()[i];
+      auto& text = per_source[e.source];
+      simulator.renderer().render_into(e, i, text);
       text.push_back('\n');
       ++result.lines;
     }
@@ -45,7 +46,7 @@ WriteResult write_log(const sim::Simulator& simulator,
 
   std::string text;
   for (std::size_t i = 0; i < simulator.events().size(); ++i) {
-    text.append(simulator.line(i));
+    simulator.renderer().render_into(simulator.events()[i], i, text);
     text.push_back('\n');
     ++result.lines;
   }

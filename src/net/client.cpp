@@ -61,7 +61,7 @@ SinkClient::SinkClient(const SinkOptions& opts)
 
 SinkClient::~SinkClient() { close(); }
 
-void SinkClient::send(util::TimeUs t, const std::string& line) {
+void SinkClient::send(util::TimeUs t, std::string_view line) {
   ++stats_.offered;
   if (endpoint_.transport == Transport::kTcp) {
     if (batch_bytes_ == 0) scratch_.clear();

@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "net/framing.hpp"
 #include "net/socket.hpp"
@@ -69,7 +70,7 @@ class SinkClient {
 
   /// Offers one rendered line (no trailing newline). `t` is the
   /// event's simulated time -- the loss model's clock.
-  void send(util::TimeUs t, const std::string& line);
+  void send(util::TimeUs t, std::string_view line);
 
   /// Writes any coalesced-but-unsent bytes now (TCP batching only;
   /// no-op otherwise).

@@ -71,25 +71,34 @@ std::size_t timestamp_len(tag::LogPath path) {
 std::string CorruptionInjector::apply(std::string line,
                                       std::uint64_t event_index,
                                       tag::LogPath path, bool is_alert) const {
-  if (is_alert && cfg_.alerts_exempt) return line;
-  if (line.empty()) return line;
+  apply(line, 0, event_index, path, is_alert);
+  return line;
+}
+
+void CorruptionInjector::apply(std::string& buf, std::size_t line_begin,
+                               std::uint64_t event_index, tag::LogPath path,
+                               bool is_alert) const {
+  if (is_alert && cfg_.alerts_exempt) return;
+  const auto size = [&] { return buf.size() - line_begin; };
+  if (size() == 0) return;
+  char* const line = buf.data() + line_begin;
   util::Rng rng(seed_ ^ (event_index * 0x9e3779b97f4a7c15ull) ^
                 0x7f4a7c15ull);
 
   if (rng.bernoulli(cfg_.p_bad_source)) {
-    const auto [b, e] = source_span(line, path);
-    for (std::size_t i = b; i < e && i < line.size(); ++i) {
+    const auto [b, e] = source_span({line, size()}, path);
+    for (std::size_t i = b; i < e && i < size(); ++i) {
       // Binary garbage rendered as it lands in real logs.
       static constexpr char kJunk[] = "#@~^\x01\x7f?";
       line[i] = kJunk[rng.uniform_u64(sizeof(kJunk) - 1)];
     }
   }
   if (rng.bernoulli(cfg_.p_bad_timestamp)) {
-    const std::size_t len = std::min(timestamp_len(path), line.size());
+    const std::size_t len = std::min(timestamp_len(path), size());
     if (len > 0) {
       const auto i = static_cast<std::size_t>(rng.uniform_u64(len));
       line[i] = static_cast<char>('A' + rng.uniform_u64(26));
-    } else if (line.size() > 4) {
+    } else if (size() > 4) {
       line[rng.uniform_u64(4)] = 'X';  // BG/L epoch field
     }
   }
@@ -97,17 +106,16 @@ std::string CorruptionInjector::apply(std::string line,
     // Real truncations clip the tail; keep >= 60% so attribution
     // usually still works (matching the paper's examples).
     const auto keep = static_cast<std::size_t>(
-        static_cast<double>(line.size()) * rng.uniform(0.6, 0.95));
-    line.resize(std::max<std::size_t>(keep, 1));
+        static_cast<double>(size()) * rng.uniform(0.6, 0.95));
+    buf.resize(line_begin + std::max<std::size_t>(keep, 1));
   }
   if (rng.bernoulli(cfg_.p_overwrite)) {
     const auto keep = static_cast<std::size_t>(
-        static_cast<double>(line.size()) * rng.uniform(0.5, 0.9));
-    line.resize(std::max<std::size_t>(keep, 1));
-    line.append(kSpliceFragments[rng.uniform_u64(
+        static_cast<double>(size()) * rng.uniform(0.5, 0.9));
+    buf.resize(line_begin + std::max<std::size_t>(keep, 1));
+    buf.append(kSpliceFragments[rng.uniform_u64(
         sizeof(kSpliceFragments) / sizeof(kSpliceFragments[0]))]);
   }
-  return line;
 }
 
 }  // namespace wss::sim

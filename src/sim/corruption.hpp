@@ -46,6 +46,13 @@ class CorruptionInjector {
   std::string apply(std::string line, std::uint64_t event_index,
                     tag::LogPath path, bool is_alert) const;
 
+  /// The same decision, made in place on the line that occupies
+  /// `buf[line_begin, buf.size())` -- the renderer's append-only
+  /// buffer. Edits overwrite, truncate or append to that tail only.
+  void apply(std::string& buf, std::size_t line_begin,
+             std::uint64_t event_index, tag::LogPath path,
+             bool is_alert) const;
+
   const CorruptionConfig& config() const { return cfg_; }
 
  private:

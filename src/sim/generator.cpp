@@ -80,7 +80,9 @@ Simulator::Simulator(parse::SystemId system, SimOptions opts)
 }
 
 std::string Simulator::line(std::size_t i) const {
-  return renderer_->render(events_.at(i), i);
+  std::string s;
+  renderer_->render_into(events_.at(i), i, s);
+  return s;
 }
 
 void Simulator::for_each_line(
@@ -103,8 +105,11 @@ void Simulator::for_each_line_in(
     std::size_t begin, std::size_t end,
     const std::function<void(std::string_view)>& fn) const {
   end = std::min(end, events_.size());
+  std::string line;
   for (std::size_t i = begin; i < end; ++i) {
-    fn(renderer_->render(events_[i], i));
+    line.clear();
+    renderer_->render_into(events_[i], i, line);
+    fn(line);
   }
 }
 

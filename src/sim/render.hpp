@@ -34,7 +34,14 @@ class Renderer {
   Renderer(const SystemSpec& spec, const SourceNamer& namer,
            CorruptionConfig corruption, std::uint64_t seed);
 
-  /// Renders one event as a complete log line (no trailing newline).
+  /// Appends one event's complete log line (no trailing newline) to
+  /// `out`, a buffer the caller owns and reuses. Once `out` and this
+  /// thread's body scratch have grown to fit, it neither allocates nor
+  /// calls printf: the hot path of every route that renders.
+  void render_into(const SimEvent& e, std::uint64_t event_index,
+                   std::string& out) const;
+
+  /// render_into() into a new string.
   std::string render(const SimEvent& e, std::uint64_t event_index) const;
 
   /// Renders without corruption (ground-truth view, used by tests).
@@ -45,9 +52,11 @@ class Renderer {
   tag::LogPath path_of(const SimEvent& e) const;
 
  private:
-  std::string expand(std::string_view tmpl, const SimEvent& e,
-                     util::Rng& rng) const;
-  std::string base_line(const SimEvent& e, std::uint64_t event_index) const;
+  void expand(std::string_view tmpl, const SimEvent& e, util::Rng& rng,
+              std::string& out) const;
+  /// Appends the uncorrupted line; returns the path it took.
+  tag::LogPath append_base_line(const SimEvent& e, std::uint64_t event_index,
+                                std::string& out) const;
 
   const SystemSpec* spec_;
   const SourceNamer* namer_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <stdexcept>
+#include <string>
 #include <thread>
 
 namespace wss::sim {
@@ -33,6 +34,7 @@ std::size_t Replayer::run(const Visitor& visit) const {
   };
 
   std::size_t delivered = 0;
+  std::string line;  // reused: each event renders over the last
   for (std::size_t i = begin_; i < end_; ++i) {
     if (cancelled()) break;
     const SimEvent& e = events[i];
@@ -53,9 +55,10 @@ std::size_t Replayer::run(const Visitor& visit) const {
       }
       if (cancelled()) break;
     }
-    std::string line = sim_->renderer().render(e, i);
+    line.clear();
+    sim_->renderer().render_into(e, i, line);
     ++delivered;
-    if (!visit(i, e, std::move(line))) break;
+    if (!visit(i, e, line)) break;
   }
   return delivered;
 }

@@ -16,7 +16,7 @@
 #include <cstddef>
 #include <functional>
 #include <limits>
-#include <string>
+#include <string_view>
 
 #include "sim/generator.hpp"
 
@@ -40,9 +40,10 @@ struct ReplayOptions {
 class Replayer {
  public:
   /// The visitor receives (event index, event, rendered line) in
-  /// stream order; return false to stop early.
+  /// stream order; return false to stop early. The line is valid only
+  /// during the call: every event renders into the same buffer.
   using Visitor =
-      std::function<bool(std::size_t, const SimEvent&, std::string&&)>;
+      std::function<bool(std::size_t, const SimEvent&, std::string_view)>;
 
   Replayer(const Simulator& simulator, ReplayOptions opts = {});
 

@@ -25,6 +25,11 @@ class SourceNamer {
   /// The node/location name for a source id.
   std::string name(std::uint32_t id) const;
 
+  /// Appends name(id) to `out`. Names are written digit by digit, not
+  /// looked up, so construction stays O(1) in the source count; once
+  /// `out` has the capacity this allocates nothing.
+  void append_name(std::uint32_t id, std::string& out) const;
+
   parse::SystemId system() const { return system_; }
   std::uint32_t size() const { return n_; }
 

@@ -202,6 +202,22 @@ std::uint64_t fnv1a(std::string_view s) {
   return h;
 }
 
+void append_uint(std::uint64_t v, std::string& out) {
+  append_padded(v, 1, out);
+}
+
+void append_padded(std::uint64_t v, int width, std::string& out) {
+  char buf[20];  // 2^64 - 1 has 20 digits
+  char* p = buf + sizeof(buf);
+  do {
+    *--p = static_cast<char>('0' + v % 10);
+    v /= 10;
+  } while (v != 0);
+  const auto digits = static_cast<int>(buf + sizeof(buf) - p);
+  if (width > digits) out.append(static_cast<std::size_t>(width - digits), '0');
+  out.append(p, static_cast<std::size_t>(digits));
+}
+
 std::string format(const char* fmt, ...) {
   va_list args;
   va_start(args, fmt);

@@ -69,6 +69,15 @@ std::string with_commas(std::int64_t v);
 /// FNV-1a 64-bit hash; stable across platforms (used for dedup keys).
 std::uint64_t fnv1a(std::string_view s);
 
+/// Appends the decimal digits of `v` to `out` ("%llu").
+void append_uint(std::uint64_t v, std::string& out);
+
+/// Appends `v` zero-padded to at least `width` digits ("%0*llu"); a
+/// value wider than `width` is appended in full. Neither appender
+/// allocates once `out` has the capacity, which is what lets the
+/// simulator render a line without printf or a heap allocation.
+void append_padded(std::uint64_t v, int width, std::string& out);
+
 /// printf-style formatting into a std::string.
 std::string format(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 

@@ -3,6 +3,8 @@
 #include <array>
 #include <cstdio>
 
+#include "util/strings.hpp"
+
 namespace wss::util {
 
 namespace {
@@ -12,6 +14,33 @@ constexpr std::array<std::string_view, 12> kMonths = {
     "Jul", "Aug", "Sep", "Oct", "Nov", "Dec"};
 
 char lower(char c) { return (c >= 'A' && c <= 'Z') ? char(c - 'A' + 'a') : c; }
+
+/// "YYYY-MM-DD" followed by `sep`, shared by the BG/L and ISO stamps.
+/// Years are 1..9999 (the range this header supports).
+void append_date(const CivilTime& ct, char sep, std::string& out) {
+  append_padded(static_cast<std::uint64_t>(ct.year), 4, out);
+  out.push_back('-');
+  append_padded(static_cast<std::uint64_t>(ct.month), 2, out);
+  out.push_back('-');
+  append_padded(static_cast<std::uint64_t>(ct.day), 2, out);
+  out.push_back(sep);
+}
+
+/// "HH<sep>MM<sep>SS".
+void append_clock(const CivilTime& ct, char sep, std::string& out) {
+  append_padded(static_cast<std::uint64_t>(ct.hour), 2, out);
+  out.push_back(sep);
+  append_padded(static_cast<std::uint64_t>(ct.minute), 2, out);
+  out.push_back(sep);
+  append_padded(static_cast<std::uint64_t>(ct.second), 2, out);
+}
+
+/// A stamp appender's output as a new string.
+std::string stamp(void (*append)(TimeUs, std::string&), TimeUs t) {
+  std::string s;
+  append(t, s);
+  return s;
+}
 
 }  // namespace
 
@@ -80,31 +109,33 @@ int parse_month_abbrev(std::string_view s) {
   return 0;
 }
 
-std::string format_syslog(TimeUs t) {
+void append_syslog(TimeUs t, std::string& out) {
   const CivilTime ct = to_civil(t);
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.3s %2d %02d:%02d:%02d",
-                month_abbrev(ct.month).data(), ct.day, ct.hour, ct.minute,
-                ct.second);
-  return buf;
+  out.append(month_abbrev(ct.month));
+  out.push_back(' ');
+  if (ct.day < 10) out.push_back(' ');
+  append_uint(static_cast<std::uint64_t>(ct.day), out);
+  out.push_back(' ');
+  append_clock(ct, ':', out);
 }
 
-std::string format_bgl(TimeUs t) {
+void append_bgl(TimeUs t, std::string& out) {
   const CivilTime ct = to_civil(t);
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%04d-%02d-%02d-%02d.%02d.%02d.%06d",
-                ct.year, ct.month, ct.day, ct.hour, ct.minute, ct.second,
-                ct.micros);
-  return buf;
+  append_date(ct, '-', out);
+  append_clock(ct, '.', out);
+  out.push_back('.');
+  append_padded(static_cast<std::uint64_t>(ct.micros), 6, out);
 }
 
-std::string format_iso(TimeUs t) {
+void append_iso(TimeUs t, std::string& out) {
   const CivilTime ct = to_civil(t);
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%04d-%02d-%02d %02d:%02d:%02d", ct.year,
-                ct.month, ct.day, ct.hour, ct.minute, ct.second);
-  return buf;
+  append_date(ct, ' ', out);
+  append_clock(ct, ':', out);
 }
+
+std::string format_syslog(TimeUs t) { return stamp(append_syslog, t); }
+std::string format_bgl(TimeUs t) { return stamp(append_bgl, t); }
+std::string format_iso(TimeUs t) { return stamp(append_iso, t); }
 
 std::string format_duration(TimeUs us) {
   char buf[32];

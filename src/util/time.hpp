@@ -58,13 +58,21 @@ std::string_view month_abbrev(int month);
 /// Returns 1..12, or 0 if unrecognized.
 int parse_month_abbrev(std::string_view s);
 
-/// Formats like syslog: "Jan  2 03:04:05" (day space-padded, no year).
+/// Appends a syslog stamp: "Jan  2 03:04:05" (day space-padded, no
+/// year). Like the other appenders below, it writes digits directly
+/// and allocates nothing once `out` has the capacity.
+void append_syslog(TimeUs t, std::string& out);
+
+/// Appends a BG/L RAS database stamp: "2005-06-03-15.42.50.363779".
+void append_bgl(TimeUs t, std::string& out);
+
+/// Appends an ISO-8601 stamp: "2005-06-03 15:42:50" (second
+/// granularity).
+void append_iso(TimeUs t, std::string& out);
+
+/// The three stamps above as new strings.
 std::string format_syslog(TimeUs t);
-
-/// Formats like the BG/L RAS database: "2005-06-03-15.42.50.363779".
 std::string format_bgl(TimeUs t);
-
-/// Formats as ISO-8601 "2005-06-03 15:42:50" (second granularity).
 std::string format_iso(TimeUs t);
 
 /// Formats a duration in microseconds as a short human string, e.g.

@@ -5,40 +5,14 @@
 // tag-tally flushes. The pipeline leans on this: obs calls sit on
 // per-event and per-chunk paths that are themselves allocation-free.
 //
-// Same operator-new counting scheme as tests/test_tag_alloc.cpp.
+// The counter is tests/alloc_counter.hpp.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
-
+#include "alloc_counter.hpp"
 #include "match/scratch.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "tag/metrics.hpp"
-
-namespace {
-
-std::atomic<std::uint64_t> g_allocations{0};
-
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size);
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
 
 namespace wss::obs {
 namespace {
@@ -61,7 +35,7 @@ TEST(ObsAlloc, SteadyStateInstrumentationAllocatesNothing) {
   }
   flusher.flush(scratch);
 
-  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  const std::uint64_t before = testing_util::allocations();
   for (int i = 0; i < 10000; ++i) {
     c.inc();
     c.inc(3);
@@ -74,7 +48,7 @@ TEST(ObsAlloc, SteadyStateInstrumentationAllocatesNothing) {
     }
     flusher.flush(scratch);
   }
-  const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
+  const std::uint64_t after = testing_util::allocations();
   EXPECT_EQ(after - before, 0u)
       << (after - before) << " allocations across the steady-state loop";
 

@@ -142,11 +142,11 @@ TEST(Backpressure, PacedSoakMatchesBatch) {
   stream::IngestRing ring(256, stream::BackpressurePolicy::kBlock);
   std::thread producer([&] {
     replayer.run([&](std::size_t i, const sim::SimEvent& e,
-                     std::string&& line) {
+                     std::string_view line) {
       stream::StreamItem it;
       it.index = i;
       it.event = e;
-      it.line = std::move(line);
+      it.line = std::string(line);
       return ring.push(std::move(it));
     });
     ring.close();

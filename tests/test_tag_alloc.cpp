@@ -5,21 +5,19 @@
 // is the difference between memory-bandwidth-bound and
 // allocator-bound.
 //
-// The counter is a global operator new override local to this binary;
-// it counts every allocation on the thread, so the measured region is
+// The counter (tests/alloc_counter.hpp) replaces this binary's global
+// operator new; it counts every allocation, so the measured region is
 // exactly the tag loop.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
-#include <atomic>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <new>
 #include <string>
 #include <vector>
 
+#include "alloc_counter.hpp"
 #include "logio/reader.hpp"
 #include "match/scratch.hpp"
 #include "parse/dispatch.hpp"
@@ -27,29 +25,6 @@
 #include "tag/engine.hpp"
 #include "tag/metrics.hpp"
 #include "tag/rulesets.hpp"
-
-namespace {
-
-std::atomic<std::uint64_t> g_allocations{0};
-
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size);
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
 
 namespace wss::tag {
 namespace {
@@ -92,10 +67,10 @@ TEST(TagAllocTest, SteadyStateTaggingAllocatesNothing) {
   const std::size_t hits = tag_pass(engine, lines, scratch);
   flusher.flush(scratch);
 
-  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  const std::uint64_t before = testing_util::allocations();
   const std::size_t hits_again = tag_pass(engine, lines, scratch);
   flusher.flush(scratch);
-  const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
+  const std::uint64_t after = testing_util::allocations();
 
   EXPECT_EQ(hits_again, hits);
   EXPECT_GT(hits, 0u);  // the corpus must exercise the hit path too
@@ -136,14 +111,14 @@ TEST(TagAllocEndToEnd, DoubledCorpusAddsZeroAllocations) {
     match::MatchScratch scratch;
     std::size_t hits = 0;
     const std::uint64_t before =
-        g_allocations.load(std::memory_order_relaxed);
+        testing_util::allocations();
     logio::read_log(p, parse::SystemId::kBlueGeneL, 2005,
                     [&](const parse::LogRecord& rec) {
                       hits += engine.tag_line(rec.raw, scratch).has_value()
                                   ? 1
                                   : 0;
                     });
-    const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
+    const std::uint64_t after = testing_util::allocations();
     return {after - before, hits};
   };
 

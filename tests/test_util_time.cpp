@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
 #include "util/rng.hpp"
+#include "util/strings.hpp"
 
 namespace wss::util {
 namespace {
@@ -91,6 +95,50 @@ TEST(Time, FormatIso) {
   EXPECT_EQ(format_iso(t), "2006-03-19 10:00:00");
 }
 
+// The appenders behind the format_* wrappers append, leaving what the
+// buffer already holds in place.
+TEST(Time, SyslogSingleDigitDayIsSpacePadded) {
+  std::string out = "<";
+  append_syslog(to_time_us({2005, 6, 3, 15, 42, 50, 0}), out);
+  EXPECT_EQ(out, "<Jun  3 15:42:50");
+  out = "<";
+  append_syslog(to_time_us({2005, 6, 13, 15, 42, 50, 0}), out);
+  EXPECT_EQ(out, "<Jun 13 15:42:50");
+}
+
+TEST(Time, BglMicrosKeepLeadingZeros) {
+  std::string out = "<";
+  append_bgl(to_time_us({2005, 6, 3, 15, 42, 50, 42}), out);
+  EXPECT_EQ(out, "<2005-06-03-15.42.50.000042");
+}
+
+TEST(Time, StampsAtTheTurnOfTheYear) {
+  const TimeUs last = to_time_us({2005, 12, 31, 23, 59, 59, 999999});
+  EXPECT_EQ(format_syslog(last), "Dec 31 23:59:59");
+  EXPECT_EQ(format_bgl(last), "2005-12-31-23.59.59.999999");
+  EXPECT_EQ(format_iso(last), "2005-12-31 23:59:59");
+  const TimeUs first = last + 1;
+  EXPECT_EQ(format_syslog(first), "Jan  1 00:00:00");
+  EXPECT_EQ(format_bgl(first), "2006-01-01-00.00.00.000000");
+  EXPECT_EQ(format_iso(first), "2006-01-01 00:00:00");
+}
+
+TEST(Time, AppendPadded) {
+  std::string out;
+  append_padded(7, 3, out);
+  EXPECT_EQ(out, "007");
+  out.clear();
+  append_padded(0, 4, out);
+  EXPECT_EQ(out, "0000");
+  out.clear();
+  append_padded(123456, 2, out);  // wider than the width: written in full
+  EXPECT_EQ(out, "123456");
+  out.clear();
+  append_uint(0, out);
+  append_uint(18446744073709551615ull, out);
+  EXPECT_EQ(out, "018446744073709551615");
+}
+
 TEST(Time, FormatDuration) {
   EXPECT_EQ(format_duration(1500), "1500us");
   EXPECT_EQ(format_duration(5 * kUsPerSec), "5.0s");
@@ -114,6 +162,28 @@ TEST(TimeProperty, RoundTripRandom) {
     ct.second = static_cast<int>(rng.uniform_i64(0, 59));
     ct.micros = static_cast<int>(rng.uniform_i64(0, 999999));
     EXPECT_EQ(to_civil(to_time_us(ct)), ct);
+  }
+}
+
+/// Property: the stamp appenders write exactly what the printf formats
+/// they replaced wrote, for random instants across 1970..2100.
+TEST(TimeProperty, StampsMatchPrintf) {
+  Rng rng(11);
+  for (int i = 0; i < 2000; ++i) {
+    const TimeUs t = rng.uniform_i64(0, to_time_us({2100, 1, 1, 0, 0, 0, 0}));
+    const CivilTime ct = to_civil(t);
+    char buf[40];
+    std::snprintf(buf, sizeof(buf), "%.3s %2d %02d:%02d:%02d",
+                  month_abbrev(ct.month).data(), ct.day, ct.hour, ct.minute,
+                  ct.second);
+    EXPECT_EQ(format_syslog(t), buf);
+    std::snprintf(buf, sizeof(buf), "%04d-%02d-%02d-%02d.%02d.%02d.%06d",
+                  ct.year, ct.month, ct.day, ct.hour, ct.minute, ct.second,
+                  ct.micros);
+    EXPECT_EQ(format_bgl(t), buf);
+    std::snprintf(buf, sizeof(buf), "%04d-%02d-%02d %02d:%02d:%02d", ct.year,
+                  ct.month, ct.day, ct.hour, ct.minute, ct.second);
+    EXPECT_EQ(format_iso(t), buf);
   }
 }
 
