@@ -5,7 +5,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <memory>
 #include <sstream>
 
@@ -22,7 +21,6 @@
 #include "logio/anonymize.hpp"
 #include "logio/input.hpp"
 #include "mine/templates.hpp"
-#include "logio/reader.hpp"
 #include "logio/writer.hpp"
 #include "simd/split.hpp"
 #include "net/client.hpp"
@@ -32,9 +30,6 @@
 #include "sim/replay.hpp"
 #include "stream/pipeline.hpp"
 #include "stream/report.hpp"
-#include "tag/engine.hpp"
-#include "tag/metrics.hpp"
-#include "tag/rulesets.hpp"
 #include "util/file.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
@@ -224,8 +219,6 @@ void print_usage(std::ostream& os) {
         "             client-side and prints exact delivered/dropped;\n"
         "             tcp can stamp 1-in-16 lines for the server's\n"
         "             ingest-latency histogram and coalesce writes)\n"
-        "  analyze    parse, tag, and filter a log file; print a summary\n"
-        "             --system NAME --in PATH [--year Y] [--threshold SEC]\n"
         "  anonymize  pseudonymize IPs/users/paths in a log file\n"
         "             --in PATH --out PATH [--seed N]\n"
         "  mine       mine message templates from a log (SLCT-style)\n"
@@ -458,81 +451,6 @@ int cmd_generate(const Args& args, std::ostream& out, std::ostream& err) {
   return write_metrics(metrics, "generate", err);
 }
 
-int cmd_analyze(const Args& args, std::ostream& out, std::ostream& err) {
-  const auto system = parse_system(args.get_or("system", ""));
-  const auto in_path = args.get("in");
-  if (!system || !in_path) {
-    err << "analyze requires --system and --in\n";
-    return 2;
-  }
-  const int year = static_cast<int>(args.get_int(
-      "year", sim::system_spec(*system).start_date.year));
-  const double threshold_s = args.get_double("threshold", 5.0);
-  if (threshold_s <= 0.0) {
-    err << "--threshold must be positive\n";
-    return 2;
-  }
-  std::optional<std::string> metrics;
-  if (!parse_metrics_flag(args, err, metrics)) return 2;
-  if (reject_unused(args, err)) return 2;
-
-  const tag::RuleSet rules = tag::build_ruleset(*system);
-  const tag::TagEngine engine(rules);
-  filter::SimultaneousFilter filter(
-      static_cast<util::TimeUs>(threshold_s * 1e6));
-
-  // Numeric source ids for the filter: interned from parsed hostnames.
-  std::map<std::string, std::uint32_t> source_ids;
-  std::vector<std::size_t> raw_counts(rules.size(), 0);
-  std::vector<std::size_t> filtered_counts(rules.size(), 0);
-  std::size_t alerts = 0;
-  std::size_t kept = 0;
-
-  logio::ReadStats stats;
-  match::MatchScratch scratch;  // reused across every line of the file
-  tag::TagMetricsFlusher flusher;
-  try {
-    obs::Span span("analyze_pass");  // closes before the metrics snapshot
-    stats = logio::read_log(*in_path, *system, year,
-                            [&](const parse::LogRecord& rec) {
-      const auto tagged = engine.tag(rec, scratch);
-      if (!tagged) return;
-      ++alerts;
-      ++raw_counts[tagged->category];
-      filter::Alert a;
-      a.time = rec.time;
-      a.category = tagged->category;
-      a.type = tagged->type;
-      const auto [it, inserted] = source_ids.emplace(
-          rec.source, static_cast<std::uint32_t>(source_ids.size()));
-      a.source = it->second;
-      if (filter.admit(a)) {
-        ++kept;
-        ++filtered_counts[tagged->category];
-      }
-    });
-  } catch (const std::exception& e) {
-    err << "analyze: " << e.what() << "\n";
-    return 1;
-  }
-  flusher.flush(scratch);
-  filter.publish_metrics();
-
-  out << util::format(
-      "%zu lines: %zu alerts -> %zu after filtering (T=%.1fs); "
-      "%zu corrupted sources, %zu invalid timestamps, %d year rollover(s)\n",
-      stats.lines, alerts, kept, threshold_s, stats.corrupted_sources,
-      stats.invalid_timestamps, stats.year_rollovers);
-  util::Table t({"Category", "Raw", "Filtered"});
-  for (std::uint16_t c = 0; c < rules.size(); ++c) {
-    if (raw_counts[c] == 0) continue;
-    t.add_row({rules.category_name(c), std::to_string(raw_counts[c]),
-               std::to_string(filtered_counts[c])});
-  }
-  out << t.render();
-  return write_metrics(metrics, "analyze", err);
-}
-
 int cmd_anonymize(const Args& args, std::ostream& out, std::ostream& err) {
   const auto in_path = args.get("in");
   const auto out_path = args.get("out");
@@ -685,6 +603,18 @@ int cmd_stream(const Args& args, std::ostream& out, std::ostream& err) {
            "checkpoint would overwrite the state being restored)\n";
     return 2;
   }
+  // Each source takes its own flags: one meant for the other source is
+  // refused, never silently ignored.
+  for (const char* flag : {"seed", "cap", "chatter", "speed"}) {
+    if (in_path && args.has(flag)) {
+      err << "--" << flag << " applies to the simulated source, not --in\n";
+      return 2;
+    }
+  }
+  if (!in_path && args.has("year")) {
+    err << "--year applies to --in only\n";
+    return 2;
+  }
   stream::PredictOptions predict;
   if (!parse_predict_flags(args, err, predict)) return 2;
   std::optional<std::string> metrics;
@@ -761,6 +691,7 @@ int cmd_stream(const Args& args, std::ostream& out, std::ostream& err) {
   };
 
   try {
+    obs::Span span("stream_pass");  // closes before the metrics snapshot
     if (!in_path) {
       // Simulated source: the replayer renders and paces each line and
       // hands it to the engine on this thread. A slow engine makes the
@@ -1299,7 +1230,6 @@ int run(const Args& args, std::ostream& out, std::ostream& err) {
   const std::string& cmd = args.command();
   try {
     if (cmd == "generate") return cmd_generate(args, out, err);
-    if (cmd == "analyze") return cmd_analyze(args, out, err);
     if (cmd == "anonymize") return cmd_anonymize(args, out, err);
     if (cmd == "tables") return cmd_tables(args, out, err);
     if (cmd == "study") return cmd_study(args, out, err);

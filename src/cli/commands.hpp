@@ -2,8 +2,6 @@
 //
 //   wss generate  --system liberty --out log.txt [--seed N] [--cap N]
 //                 [--chatter N] [--compressed] [--per-source]
-//   wss analyze   --system liberty --in log.txt [--year 2004]
-//                 [--threshold 5.0]
 //   wss anonymize --in log.txt --out anon.txt [--seed N]
 //   wss mine      --in log.txt [--support N] [--skip N]
 //   wss tables    [--which 1..6] [--threads N|auto]
@@ -15,8 +13,9 @@
 //                 [--threads N|auto]  claim + compute one assignment
 //   wss merge     --manifest-dir DIR [--out DIR]  fold worker partials
 //                 into the single-process tables/figures
-//   wss stream    --system liberty [--speed N] [--threshold 5.0]
-//                 [--in log.txt | --seed N --cap N --chatter N]
+//   wss stream    --system liberty [--threshold 5.0]
+//                 [--in log.txt [--year 2004] |
+//                  --seed N --cap N --chatter N --speed N]
 //                 [--checkpoint PATH] [--restore PATH] [--max-events N]
 //                 [--emit PATH] [--refresh N] [--window SEC]
 //                 SIGINT/SIGTERM pause gracefully (checkpoint + report)
@@ -51,7 +50,6 @@ int run(const Args& args, std::ostream& out, std::ostream& err);
 
 /// Individual commands (exposed for tests).
 int cmd_generate(const Args& args, std::ostream& out, std::ostream& err);
-int cmd_analyze(const Args& args, std::ostream& out, std::ostream& err);
 int cmd_anonymize(const Args& args, std::ostream& out, std::ostream& err);
 int cmd_tables(const Args& args, std::ostream& out, std::ostream& err);
 int cmd_study(const Args& args, std::ostream& out, std::ostream& err);

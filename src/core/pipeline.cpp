@@ -3,8 +3,6 @@
 #include <iterator>
 #include <string>
 
-#include "parse/dispatch.hpp"
-
 namespace wss::core {
 
 namespace detail {
@@ -29,21 +27,21 @@ PipelineResult make_partial(const ChunkContext& ctx) {
   return r;
 }
 
-void process_line(const ChunkContext& ctx, const sim::SimEvent& e,
-                  std::string_view line, PipelineResult& r,
-                  match::MatchScratch& scratch) {
+std::optional<tag::TagResult> reduce_line(const ChunkContext& ctx,
+                                          std::string_view line, int year,
+                                          double weight, PipelineResult& r,
+                                          LineScratch& ls,
+                                          match::MatchScratch& scratch) {
   PipelineCounters& obs = PipelineCounters::get();
   obs.events.inc();
   obs.bytes.inc(line.size() + 1);
   ++r.physical_messages;
-  r.weighted_messages += e.weight;
+  r.weighted_messages += weight;
   r.physical_bytes += line.size() + 1;  // trailing newline on disk
-  r.weighted_bytes += e.weight * static_cast<double>(line.size() + 1);
+  r.weighted_bytes += weight * static_cast<double>(line.size() + 1);
 
-  // Parse. The year hint follows the event's own year; a real reader
-  // would advance it at log rollover boundaries.
-  const parse::LogRecord rec =
-      parse::parse_line(ctx.system, line, util::to_civil(e.time).year);
+  parse::parse_line_into(ctx.system, line, year, ls.rec, ls.parse);
+  const parse::LogRecord& rec = ls.rec;
   if (rec.source_corrupted) {
     ++r.corrupted_source_lines;
     obs.corrupted_sources.inc();
@@ -53,33 +51,43 @@ void process_line(const ChunkContext& ctx, const sim::SimEvent& e,
     obs.invalid_timestamps.inc();
   }
 
-  // Tag.
   const auto tagged = ctx.engine->tag(rec, scratch);
-  r.tagging.add(tagged.has_value(), e.is_alert());
   if (tagged) {
     obs.alerts_tagged.inc();
-    filter::Alert a;
-    // Trust the parsed timestamp when valid; otherwise fall back to
-    // stream position (ground-truth time), as an operator reading a
-    // sequential log effectively does.
-    a.time = rec.timestamp_valid ? rec.time : e.time;
-    a.source = e.source;
-    a.category = tagged->category;
-    a.type = tagged->type;
-    a.failure_id = e.failure_id;  // ground truth rides along for scoring
-    a.weight = e.weight;
-    r.tagged_alerts.push_back(a);
-    r.weighted_alert_counts[tagged->category] += e.weight;
+    r.weighted_alert_counts[tagged->category] += weight;
     ++r.physical_alert_counts[tagged->category];
   }
 
   if (ctx.collect_source_tallies) {
     if (rec.source_corrupted) {
-      r.corrupted_source_weight += e.weight;
+      r.corrupted_source_weight += weight;
     } else {
-      r.messages_by_source[rec.source] += e.weight;
+      r.messages_by_source[rec.source] += weight;
     }
   }
+  return tagged;
+}
+
+void process_line(const ChunkContext& ctx, const sim::SimEvent& e,
+                  std::string_view line, PipelineResult& r, LineScratch& ls,
+                  match::MatchScratch& scratch) {
+  // The year hint follows the event's own year; a real reader infers
+  // it from month rollovers (StreamPipeline::ingest_line).
+  const auto tagged = reduce_line(ctx, line, util::to_civil(e.time).year,
+                                  e.weight, r, ls, scratch);
+  r.tagging.add(tagged.has_value(), e.is_alert());
+  if (!tagged) return;
+  filter::Alert a;
+  // Trust the parsed timestamp when valid; otherwise fall back to
+  // stream position (ground-truth time), as an operator reading a
+  // sequential log effectively does.
+  a.time = ls.rec.timestamp_valid ? ls.rec.time : e.time;
+  a.source = e.source;
+  a.category = tagged->category;
+  a.type = tagged->type;
+  a.failure_id = e.failure_id;  // ground truth rides along for scoring
+  a.weight = e.weight;
+  r.tagged_alerts.push_back(a);
 }
 
 PipelineResult process_chunk(const ChunkContext& ctx, std::size_t begin,
@@ -88,10 +96,11 @@ PipelineResult process_chunk(const ChunkContext& ctx, std::size_t begin,
   PipelineResult r = make_partial(ctx);
   const auto& events = simulator.events();
   std::string line;  // every line of the chunk renders into this buffer
+  LineScratch ls;     // and parses into this record
   for (std::size_t i = begin; i < end; ++i) {
     line.clear();
     simulator.renderer().render_into(events[i], i, line);
-    process_line(ctx, events[i], line, r, scratch);
+    process_line(ctx, events[i], line, r, ls, scratch);
   }
   return r;
 }

@@ -25,6 +25,7 @@
 #include "filter/alert.hpp"
 #include "match/scratch.hpp"
 #include "obs/metrics.hpp"
+#include "parse/dispatch.hpp"
 #include "sim/generator.hpp"
 #include "tag/engine.hpp"
 #include "tag/evaluate.hpp"
@@ -110,14 +111,36 @@ struct ChunkContext {
 /// in batch and streaming runs.
 PipelineResult make_partial(const ChunkContext& ctx);
 
-/// Reduces ONE rendered event into the partial `r`. This is the whole
-/// per-event semantics of the pipeline -- process_chunk and the online
+/// Per-caller parse state of reduce_line: one record and one parse
+/// scratch, reused across lines so the warm parse allocates nothing.
+/// After a reduce_line call, `rec` is that line's parsed record.
+struct LineScratch {
+  parse::LogRecord rec;
+  parse::ParseScratch parse;
+};
+
+/// The per-line reducer of every route: parses `line` into `ls.rec`
+/// (`year` stamps syslog lines, which carry none), counts its volume
+/// and parse quality, tags it with `scratch`, and tallies its category
+/// and source into `r`, each at `weight`. Returns the tag. Callers add
+/// only what differs: process_line scores the tagger and keeps the
+/// alert; stream::StreamPipeline::ingest_line infers the year and feeds
+/// its filter. `scratch` is the caller-owned per-thread matching
+/// scratch, reused across lines so the steady-state tag path never
+/// allocates.
+std::optional<tag::TagResult> reduce_line(const ChunkContext& ctx,
+                                          std::string_view line, int year,
+                                          double weight, PipelineResult& r,
+                                          LineScratch& ls,
+                                          match::MatchScratch& scratch);
+
+/// Reduces ONE rendered event into the partial `r`: reduce_line at the
+/// event's own year and weight, plus tagger scoring against ground
+/// truth and the tagged alert. process_chunk and the online
 /// stream::StreamPipeline both call it, which is what makes their
 /// outputs bit-identical on the same (event, line) sequence.
-/// `scratch` is the caller-owned per-thread matching scratch, reused
-/// across lines so the steady-state tag path never allocates.
 void process_line(const ChunkContext& ctx, const sim::SimEvent& e,
-                  std::string_view line, PipelineResult& r,
+                  std::string_view line, PipelineResult& r, LineScratch& ls,
                   match::MatchScratch& scratch);
 
 /// Reduces events [begin, end) to a partial result. Pure function of
@@ -130,7 +153,7 @@ PipelineResult process_chunk(const ChunkContext& ctx, std::size_t begin,
 /// the merge order is what the determinism guarantee hangs on.
 void merge_partial(PipelineResult& acc, PipelineResult&& part);
 
-/// Cached handles for the per-event pipeline counters. process_line
+/// Cached handles for the per-event pipeline counters. reduce_line
 /// increments these (relaxed striped adds), so the same names track
 /// the same per-event semantics in the serial, parallel, and streaming
 /// paths -- which is what makes the wss_pipeline_* counters

@@ -1,6 +1,6 @@
 // Zero-copy batch input for the byte-level hot path.
 //
-// The batch pipelines (analyze, study, mine) read a whole log and
+// The file readers (stream --in, mine, anonymize) read a whole log and
 // stream lines out of it; copying the bytes through an istringstream
 // costs more than parsing them. InputBuffer maps a plain log file
 // read-only (MAP_PRIVATE) so the line splitter hands out views

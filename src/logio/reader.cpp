@@ -1,16 +1,14 @@
 #include "logio/reader.hpp"
 
-#include "logio/input.hpp"
-#include "parse/dispatch.hpp"
-#include "simd/split.hpp"
 #include "util/time.hpp"
 
 namespace wss::logio {
 
 int YearTracker::on_month(int month) {
   if (month >= 1 && month <= 12) {
-    // A backwards month jump of more than one (Dec -> Jan, or a burst
-    // of out-of-order lines straddling New Year) signals rollover.
+    // A backwards month jump of more than six (Dec -> Jan, or a burst
+    // of out-of-order lines straddling New Year) signals rollover;
+    // smaller regressions are out-of-order lines within one year.
     if (last_month_ != 0 && month < last_month_ - 6) {
       ++year_;
       ++rollovers_;
@@ -20,36 +18,10 @@ int YearTracker::on_month(int month) {
   return year_;
 }
 
-ReadStats read_log(const std::filesystem::path& path, parse::SystemId system,
-                   int start_year,
-                   const std::function<void(const parse::LogRecord&)>& fn) {
-  // Zero-copy batch path: mmap (or read-fallback) the whole input and
-  // split lines with the vectorized scanner; views point into the
-  // buffer, and one record + scratch are reused for every line so the
-  // steady-state loop performs no heap allocation
-  // (tests/test_tag_alloc.cpp).
-  const InputBuffer input = InputBuffer::open(path);
-  ReadStats stats;
-  YearTracker years(start_year);
-  parse::LogRecord rec;
-  parse::ParseScratch scratch;
-
-  simd::for_each_line(input.view(), [&](std::string_view line) {
-    ++stats.lines;
-    // Peek the month from the stamp to drive year inference. BG/L and
-    // event-router stamps carry the year themselves; parse_month
-    // returns 0 for them and the tracker is inert.
-    int month = 0;
-    if (line.size() >= 3) month = util::parse_month_abbrev(line.substr(0, 3));
-    const int year = month > 0 ? years.on_month(month) : years.year();
-
-    parse::parse_line_into(system, line, year, rec, scratch);
-    if (rec.source_corrupted) ++stats.corrupted_sources;
-    if (!rec.timestamp_valid) ++stats.invalid_timestamps;
-    fn(rec);
-  });
-  stats.year_rollovers = years.rollovers();
-  return stats;
+int YearTracker::year_of(std::string_view line) {
+  const int month =
+      line.size() >= 3 ? util::parse_month_abbrev(line.substr(0, 3)) : 0;
+  return month > 0 ? on_month(month) : year_;
 }
 
 }  // namespace wss::logio

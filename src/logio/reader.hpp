@@ -1,36 +1,19 @@
-// Streaming log reading with year-rollover inference.
+// Year-rollover inference for syslog stamps.
 //
 // syslog timestamps carry no year (Section 3.2.1, "Inconsistent
 // Structure"), so a reader of a multi-year log (Spirit spans 558 days)
-// must infer year boundaries: when the month jumps backwards relative
-// to the previous record, a new year has begun. LogReader parses line
-// by line without loading the parsed records into memory.
+// must infer year boundaries: when the month jumps backwards by more
+// than half a year relative to the previous record, a new year has
+// begun. stream::StreamPipeline::ingest_line runs every line of a
+// parsed log through one tracker.
 #pragma once
 
-#include <filesystem>
-#include <functional>
-
-#include "parse/record.hpp"
+#include <string_view>
 
 namespace wss::logio {
 
-/// Reader statistics.
-struct ReadStats {
-  std::size_t lines = 0;
-  std::size_t corrupted_sources = 0;
-  std::size_t invalid_timestamps = 0;
-  int year_rollovers = 0;
-};
-
-/// Streams parsed records from a log file written by logio::write_log
-/// (plain or .wsc). `start_year` seeds the year inference. The
-/// callback receives each record in file order.
-ReadStats read_log(const std::filesystem::path& path, parse::SystemId system,
-                   int start_year,
-                   const std::function<void(const parse::LogRecord&)>& fn);
-
-/// Year-inference helper, exposed for tests: tracks the last month
-/// seen and bumps the year when the month decreases sharply.
+/// Tracks the last month seen and bumps the year when the month
+/// decreases sharply.
 class YearTracker {
  public:
   explicit YearTracker(int start_year) : year_(start_year) {}
@@ -38,6 +21,12 @@ class YearTracker {
   /// Returns the year to use for a record stamped with `month`
   /// (1..12), updating internal state.
   int on_month(int month);
+
+  /// Returns the year for `line`, peeking the month abbreviation its
+  /// stamp starts with. Stamps that carry their own year (BG/L, the
+  /// Red Storm event router) start with no month name and leave the
+  /// tracker inert.
+  int year_of(std::string_view line);
 
   int year() const { return year_; }
   int last_month() const { return last_month_; }

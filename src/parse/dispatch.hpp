@@ -27,7 +27,7 @@ LogRecord parse_line(SystemId system, std::string_view line, int base_year);
 
 /// Same result, written into `rec` (capacity-reusing: rec.reset() +
 /// assign, never fresh strings). The hot-path form under
-/// logio::read_log and the stream pipeline.
+/// core::detail::reduce_line, which every route calls per line.
 void parse_line_into(SystemId system, std::string_view line, int base_year,
                      LogRecord& rec, ParseScratch& scratch);
 

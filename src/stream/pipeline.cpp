@@ -5,7 +5,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "parse/dispatch.hpp"
 #include "sim/spec.hpp"
 
 namespace wss::stream {
@@ -69,7 +68,8 @@ void StreamPipeline::ingest(const sim::SimEvent& e, std::string_view line) {
   // Reduce into the open chunk partial with the shared batch reducer,
   // then let the study state advance chunk bookkeeping (it merges the
   // partial at every chunk_events boundary, exactly like run_pipeline).
-  core::detail::process_line(ctx_, e, line, study_.partial(), scratch_);
+  core::detail::process_line(ctx_, e, line, study_.partial(), line_,
+                             scratch_);
   study_.on_event(e, line);
   StreamObs::get().events.inc();
 
@@ -102,9 +102,13 @@ void StreamPipeline::ingest(const sim::SimEvent& e, std::string_view line) {
 }
 
 std::uint32_t StreamPipeline::intern(const std::string& name) {
-  const auto [it, inserted] = source_ids_.emplace(
-      name, static_cast<std::uint32_t>(source_ids_.size()));
-  return it->second;
+  // Look up before inserting: emplace would build (and allocate) a node
+  // for every tagged line, known source or not.
+  const auto it = source_ids_.find(name);
+  if (it != source_ids_.end()) return it->second;
+  const auto id = static_cast<std::uint32_t>(source_ids_.size());
+  source_ids_.emplace(name, id);
+  return id;
 }
 
 void StreamPipeline::ingest_line(std::string_view line) {
@@ -113,63 +117,26 @@ void StreamPipeline::ingest_line(std::string_view line) {
                           : std::chrono::steady_clock::time_point{};
   study_.mark_no_ground_truth();
 
-  // Year-rollover inference, as logio::read_log does it: peek the
-  // month abbreviation; stamps that carry their own year leave the
-  // tracker inert.
-  int month = 0;
-  if (line.size() >= 3) month = util::parse_month_abbrev(line.substr(0, 3));
-  const int year = month > 0 ? year_.on_month(month) : year_.year();
-
-  const parse::LogRecord rec = parse::parse_line(system_, line, year);
-
-  // Analyze-style reduction: no ground truth, every line weight 1.
-  // Mirrors core::detail::process_line except for the tagger scoring
-  // (meaningless without ground truth, left at zero).
-  core::PipelineResult& r = study_.partial();
-  core::detail::PipelineCounters& pc = core::detail::PipelineCounters::get();
-  pc.events.inc();
-  pc.bytes.inc(line.size() + 1);
-  ++r.physical_messages;
-  r.weighted_messages += 1.0;
-  r.physical_bytes += line.size() + 1;
-  r.weighted_bytes += static_cast<double>(line.size() + 1);
-  if (rec.source_corrupted) {
-    ++r.corrupted_source_lines;
-    pc.corrupted_sources.inc();
-  }
-  if (!rec.timestamp_valid) {
-    ++r.invalid_timestamp_lines;
-    pc.invalid_timestamps.inc();
-  }
+  // The shared reducer, with no ground truth: every line weighs 1 and
+  // the tagger goes unscored (left at zero).
+  const auto tagged =
+      core::detail::reduce_line(ctx_, line, year_.year_of(line), 1.0,
+                                study_.partial(), line_, scratch_);
+  const parse::LogRecord& rec = line_.rec;
 
   sim::SimEvent e;
   e.time = rec.timestamp_valid ? rec.time : study_.watermark();
   e.severity = rec.severity;
   e.weight = 1.0;
-
-  const auto tagged = engine_.tag(rec, scratch_);
   filter::Alert a;
   if (tagged) {
-    pc.alerts_tagged.inc();
     e.category = static_cast<std::int32_t>(tagged->category);
-    if (tagged->category < r.weighted_alert_counts.size()) {
-      r.weighted_alert_counts[tagged->category] += 1.0;
-      ++r.physical_alert_counts[tagged->category];
-    }
     a.time = e.time;
     a.category = tagged->category;
     a.type = tagged->type;
     a.source = intern(rec.source);
     a.weight = 1.0;
     e.source = a.source;
-  }
-
-  if (ctx_.collect_source_tallies) {
-    if (rec.source_corrupted) {
-      r.corrupted_source_weight += 1.0;
-    } else {
-      r.messages_by_source[rec.source] += 1.0;
-    }
   }
 
   study_.on_event(e, line);
@@ -202,6 +169,7 @@ void StreamPipeline::finish() {
 
 StreamSnapshot StreamPipeline::snapshot() const {
   StreamSnapshot s = study_.snapshot();
+  s.year_rollovers = year_.rollovers();
   if (predict_) {
     const PredictStats ps = predict_->stats();
     s.predict_enabled = true;

@@ -21,10 +21,10 @@
 //   ingest(event, line)  -- simulated streams: ground truth rides
 //     along, the filter consumes the ground-truth alert stream (the
 //     batch Study::filtered_alerts feed), and tagging is scored.
-//   ingest_line(line)    -- real/parsed logs: analyze-style. The line
-//     is parsed with year-rollover inference, tagged, and the tagged
-//     alert stream (weight 1, interned source ids) feeds the filter --
-//     the same semantics as `wss analyze`, made incremental.
+//   ingest_line(line)    -- real/parsed logs. The line is parsed with
+//     year-rollover inference, tagged, and the tagged alert stream
+//     (weight 1, interned source ids) feeds the filter. Both modes
+//     reduce each line with the batch core::detail::reduce_line.
 //
 // Admitted alerts are emitted through the AlertSink the moment the
 // filter rules them non-redundant (decisions are final; see
@@ -100,7 +100,6 @@ class StreamPipeline {
   /// The prediction stage, or nullptr when prediction is off.
   const PredictStage* predict_stage() const { return predict_.get(); }
   const StreamPipelineOptions& options() const { return opts_; }
-  int year_rollovers() const { return year_.rollovers(); }
 
   /// Publishes every pending metric delta (tag tallies, filter
   /// tallies, watermark gauge) to the obs registry. Idempotent; called
@@ -140,15 +139,15 @@ class StreamPipeline {
   /// re-attach it -- sinks survive restore like the alert sink does.
   PredictStage::PredictionSink psink_;
 
-  // File-mode state: year inference + source-name interning (the
-  // `wss analyze` scheme). The intern map is O(distinct sources) --
-  // the same bound cmd_analyze accepts.
+  // File-mode state: year inference + source-name interning, ids in
+  // order of first tagged line. The intern map is O(distinct sources).
   logio::YearTracker year_;
   std::map<std::string, std::uint32_t> source_ids_;
 
-  // Per-engine matching scratch, reused across every ingested line.
-  // Purely transient (cleared at the start of each tag call), so it is
-  // deliberately NOT part of save()/restore().
+  // Per-engine parse and matching scratch, reused across every
+  // ingested line. Purely transient (overwritten by each line), so
+  // they are deliberately NOT part of save()/restore().
+  core::detail::LineScratch line_;
   match::MatchScratch scratch_;
 
   // Delta-flusher for the scratch's tag tallies (flushed at chunk

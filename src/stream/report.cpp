@@ -38,11 +38,15 @@ std::string render_snapshot(const StreamSnapshot& s) {
   }
   os << "\n";
   os << util::format(
-      "  parse: %s corrupted sources, %s invalid timestamps\n",
+      "  parse: %s corrupted sources, %s invalid timestamps",
       util::with_commas(
           static_cast<std::int64_t>(s.corrupted_source_lines)).c_str(),
       util::with_commas(
           static_cast<std::int64_t>(s.invalid_timestamp_lines)).c_str());
+  if (!s.has_ground_truth) {
+    os << util::format(", %d year rollover(s)", s.year_rollovers);
+  }
+  os << "\n";
 
   os << util::format(
       "  filter: %s alerts -> %s after filtering (H %s / S %s / I %s)\n",

@@ -76,6 +76,9 @@ struct StreamSnapshot {
   int categories_observed = 0;                        ///< Table 2 "Cat."
   tag::TaggerEvaluation tagging;
   bool has_ground_truth = true;    ///< false for parsed real-log streams
+  /// Syslog year boundaries inferred from month rollovers (parsed-log
+  /// streams only; filled by StreamPipeline).
+  int year_rollovers = 0;
 
   // ---- Table 2 derived fields (same expressions as table2_row) ----
   int days = 0;
@@ -133,12 +136,12 @@ class StreamStudyState {
   StreamStudyState(parse::SystemId system, const StreamStudyOptions& opts);
 
   /// Folds one rendered event (already reduced into the pipeline
-  /// partial by the caller via core::detail::process_line) -- this
+  /// partial by the caller via core::detail::reduce_line) -- this
   /// entry point only advances chunk bookkeeping and window state.
   /// `partial()` exposes the live chunk partial to reduce into.
   core::PipelineResult& partial() { return partial_; }
 
-  /// Called after each process_line into partial(): advances event
+  /// Called after each reduce_line into partial(): advances event
   /// counters, windows, and (at chunk boundaries) merges the partial.
   void on_event(const sim::SimEvent& e, std::string_view line);
 

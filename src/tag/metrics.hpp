@@ -5,7 +5,7 @@
 // that (the obs overhead budget is wss_bench's trace.overhead_share).
 // So TagEngine::tag_line maintains plain per-scratch tallies, and the
 // owner of each scratch (serial pipeline, parallel worker, stream
-// engine, cmd_analyze) pairs it with one TagMetricsFlusher, calling
+// engine) pairs it with one TagMetricsFlusher, calling
 // flush() at chunk boundaries and at end of pass. flush() publishes
 // only the delta since the previous flush, so it is idempotent and
 // safe to call at any cadence -- totals depend only on the lines

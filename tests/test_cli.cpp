@@ -1,4 +1,4 @@
-// CLI tests: flag parsing and the generate/analyze/anonymize/tables
+// CLI tests: flag parsing and the generate/stream --in/anonymize/tables
 // round-trip through temp files.
 #include <gtest/gtest.h>
 
@@ -34,7 +34,7 @@ TEST(ArgsParse, CommandAndFlags) {
 }
 
 TEST(ArgsParse, Defaults) {
-  const auto args = make_args({"analyze"});
+  const auto args = make_args({"stream"});
   EXPECT_EQ(args.get_or("system", "dflt"), "dflt");
   EXPECT_EQ(args.get_int("seed", 42), 42);
   EXPECT_DOUBLE_EQ(args.get_double("threshold", 5.0), 5.0);
@@ -92,25 +92,25 @@ TEST_F(CliCommandTest, GenerateRequiresFlags) {
   EXPECT_EQ(run_tokens({"generate", "--system", "nope", "--out", "x"}), 2);
 }
 
-TEST_F(CliCommandTest, GenerateAnalyzeRoundTrip) {
+TEST_F(CliCommandTest, GenerateStreamFileRoundTrip) {
   const auto log = (dir_ / "log.txt").string();
   ASSERT_EQ(run_tokens({"generate", "--system", "liberty", "--out", log,
                         "--cap", "500", "--chatter", "3000", "--seed",
                         "11"}),
             0);
   EXPECT_NE(out_.str().find("Liberty"), std::string::npos);
-  ASSERT_EQ(run_tokens({"analyze", "--system", "liberty", "--in", log}), 0);
+  ASSERT_EQ(run_tokens({"stream", "--system", "liberty", "--in", log}), 0);
   EXPECT_NE(out_.str().find("PBS_CHK"), std::string::npos);
   EXPECT_NE(out_.str().find("after filtering"), std::string::npos);
 }
 
-TEST_F(CliCommandTest, GenerateCompressedAnalyze) {
+TEST_F(CliCommandTest, GenerateCompressedStreamFile) {
   const auto log = (dir_ / "log.wsc").string();
   ASSERT_EQ(run_tokens({"generate", "--system", "spirit", "--out", log,
                         "--cap", "500", "--chatter", "2000",
                         "--compressed"}),
             0);
-  ASSERT_EQ(run_tokens({"analyze", "--system", "spirit", "--in", log}), 0);
+  ASSERT_EQ(run_tokens({"stream", "--system", "spirit", "--in", log}), 0);
   EXPECT_NE(out_.str().find("EXT_CCISS"), std::string::npos);
 }
 
@@ -121,16 +121,23 @@ TEST_F(CliCommandTest, GenerateRejectsTypoFlag) {
   EXPECT_NE(err_.str().find("unknown flag --sed"), std::string::npos);
 }
 
-TEST_F(CliCommandTest, AnalyzeMissingFileFails) {
-  EXPECT_EQ(run_tokens({"analyze", "--system", "liberty", "--in",
+TEST_F(CliCommandTest, StreamFileMissingFails) {
+  EXPECT_EQ(run_tokens({"stream", "--system", "liberty", "--in",
                         (dir_ / "nope").string()}),
             1);
 }
 
-TEST_F(CliCommandTest, AnalyzeRejectsBadThreshold) {
-  EXPECT_EQ(run_tokens({"analyze", "--system", "liberty", "--in", "x",
+TEST_F(CliCommandTest, StreamFileRejectsBadThreshold) {
+  EXPECT_EQ(run_tokens({"stream", "--system", "liberty", "--in", "x",
                         "--threshold", "-1"}),
             2);
+}
+
+TEST_F(CliCommandTest, AnalyzeIsNoCommand) {
+  EXPECT_EQ(run_tokens({"analyze", "--system", "liberty", "--in", "x"}), 2);
+  EXPECT_NE(err_.str().find("usage: wss"), std::string::npos);
+  ASSERT_EQ(run_tokens({"help"}), 0);
+  EXPECT_EQ(out_.str().find("analyze"), std::string::npos);
 }
 
 TEST_F(CliCommandTest, AnonymizeRoundTrip) {
@@ -140,11 +147,21 @@ TEST_F(CliCommandTest, AnonymizeRoundTrip) {
                         "--cap", "300", "--chatter", "2000"}),
             0);
   ASSERT_EQ(run_tokens({"anonymize", "--in", log, "--out", anon}), 0);
-  // Anonymized log still analyzes to the same alert counts.
-  ASSERT_EQ(run_tokens({"analyze", "--system", "tbird", "--in", log}), 0);
-  const std::string before = out_.str();
-  ASSERT_EQ(run_tokens({"analyze", "--system", "tbird", "--in", anon}), 0);
-  EXPECT_EQ(out_.str(), before);
+  // Anonymized log still analyzes to the same report. Only the volume
+  // line may differ: pseudonyms change the bytes and how they compress.
+  const auto report_without_volume = [this] {
+    std::istringstream is(out_.str());
+    std::string kept;
+    for (std::string line; std::getline(is, line);) {
+      if (line.rfind("  volume:", 0) != 0) kept += line + "\n";
+    }
+    return kept;
+  };
+  ASSERT_EQ(run_tokens({"stream", "--system", "tbird", "--in", log}), 0);
+  const std::string before = report_without_volume();
+  ASSERT_EQ(run_tokens({"stream", "--system", "tbird", "--in", anon}), 0);
+  EXPECT_EQ(report_without_volume(), before);
+  EXPECT_NE(before.find("after filtering"), std::string::npos);
 }
 
 TEST_F(CliCommandTest, MineFindsTemplates) {

@@ -61,7 +61,7 @@ TEST_F(CliNegativeTest, UnknownFlagRejectedByEveryCommand) {
   const std::string x = (dir_ / "x").string();
   const std::vector<std::vector<std::string>> cases = {
       {"generate", "--system", "liberty", "--out", x, "--bogus", "1"},
-      {"analyze", "--system", "liberty", "--in", x, "--bogus", "1"},
+      {"stream", "--system", "liberty", "--in", x, "--bogus", "1"},
       {"anonymize", "--in", x, "--out", x + "2", "--bogus", "1"},
       {"mine", "--in", x, "--bogus", "1"},
       {"tables", "--which", "1", "--bogus", "1"},
@@ -183,12 +183,26 @@ TEST_F(CliNegativeTest, NonNumericValueBecomesOneLineCommandError) {
 }
 
 TEST_F(CliNegativeTest, MissingInputFileIsOneLineError) {
-  EXPECT_EQ(run_tokens({"analyze", "--system", "liberty", "--in",
+  EXPECT_EQ(run_tokens({"stream", "--system", "liberty", "--in",
                         (dir_ / "nope.log").string()}),
             1);
   const std::string msg = err_.str();
-  EXPECT_EQ(msg.rfind("analyze: ", 0), 0u) << msg;
+  EXPECT_EQ(msg.rfind("stream: ", 0), 0u) << msg;
   EXPECT_EQ(std::count(msg.begin(), msg.end(), '\n'), 1) << msg;
+}
+
+TEST_F(CliNegativeTest, StreamRefusesTheOtherSourcesFlags) {
+  const std::string x = (dir_ / "x").string();
+  for (const std::string flag : {"seed", "cap", "chatter", "speed"}) {
+    SCOPED_TRACE(flag);
+    EXPECT_EQ(run_tokens({"stream", "--system", "liberty", "--in", x,
+                          "--" + flag, "3"}),
+              2);
+    expect_one_line_error("--" + flag + " applies to the simulated source");
+  }
+  EXPECT_EQ(run_tokens({"stream", "--system", "liberty", "--year", "1999"}),
+            2);
+  expect_one_line_error("--year applies to --in only");
 }
 
 // ---- Online prediction flags (stream/serve --predict family) ----

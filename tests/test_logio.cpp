@@ -1,12 +1,13 @@
 // Log I/O: disk round-trips (plain, compressed, per-source layout),
 // year-rollover inference, and anonymization that preserves tagging.
+// Files are read back with tests/read_records.hpp.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 
 #include "logio/anonymize.hpp"
-#include "logio/reader.hpp"
 #include "logio/writer.hpp"
+#include "read_records.hpp"
 #include "tag/engine.hpp"
 #include "tag/rulesets.hpp"
 
@@ -45,12 +46,12 @@ TEST_F(LogIoTest, PlainRoundTrip) {
   EXPECT_GT(res.bytes_written, res.lines * 20);
 
   std::size_t read_lines = 0;
-  const auto stats =
-      read_log(dir_ / "messages", SystemId::kLiberty, 2004,
-               [&](const parse::LogRecord& rec) {
-                 ++read_lines;
-                 EXPECT_TRUE(rec.timestamp_valid);
-               });
+  const auto stats = testing_util::read_records(
+      dir_ / "messages", SystemId::kLiberty, 2004,
+      [&](const parse::LogRecord& rec) {
+        ++read_lines;
+        EXPECT_TRUE(rec.timestamp_valid);
+      });
   EXPECT_EQ(read_lines, res.lines);
   EXPECT_EQ(stats.lines, res.lines);
   EXPECT_EQ(stats.invalid_timestamps, 0u);
@@ -88,11 +89,12 @@ TEST_F(LogIoTest, YearRolloverInference) {
   write_log(sim, dir_ / "messages");
   util::TimeUs prev = 0;
   bool monotone = true;
-  const auto stats = read_log(dir_ / "messages", SystemId::kSpirit, 2005,
-                              [&](const parse::LogRecord& rec) {
-                                if (rec.time < prev) monotone = false;
-                                prev = rec.time;
-                              });
+  const auto stats = testing_util::read_records(
+      dir_ / "messages", SystemId::kSpirit, 2005,
+      [&](const parse::LogRecord& rec) {
+        if (rec.time < prev) monotone = false;
+        prev = rec.time;
+      });
   EXPECT_EQ(stats.year_rollovers, 1);
   EXPECT_TRUE(monotone) << "year inference must keep time monotone";
 }

@@ -1,6 +1,7 @@
 // Corruption accounting against hand-computed ground truth: a log
 // containing truncated lines, NUL-embedded bytes, and a >1 MiB line is
-// read by logio::read_log and streamed through the online engine, and
+// read by the test-side reader (tests/read_records.hpp) and streamed
+// through the online engine, and
 // both must report EXACTLY the corrupted-source and invalid-timestamp
 // counts a human gets from reading the file (Section 3.2.1's
 // corruption modes, pinned line by line instead of statistically).
@@ -11,8 +12,8 @@
 #include <string>
 #include <vector>
 
-#include "logio/reader.hpp"
 #include "obs/metrics.hpp"
+#include "read_records.hpp"
 #include "stream/pipeline.hpp"
 
 namespace wss {
@@ -61,9 +62,9 @@ class LogioCorruptionTest : public ::testing::Test {
 
 TEST_F(LogioCorruptionTest, ReaderCountsMatchHandComputation) {
   std::vector<parse::LogRecord> recs;
-  const auto stats =
-      logio::read_log(path_, parse::SystemId::kLiberty, 2004,
-                      [&](const parse::LogRecord& rec) { recs.push_back(rec); });
+  const auto stats = testing_util::read_records(
+      path_, parse::SystemId::kLiberty, 2004,
+      [&](const parse::LogRecord& rec) { recs.push_back(rec); });
 
   EXPECT_EQ(stats.lines, corpus().size());
   EXPECT_EQ(stats.corrupted_sources, kCorrupted);

@@ -1,7 +1,7 @@
 // InputBuffer fallback-path contract: whatever route the bytes take
 // -- mmap'd pages, read() into an owned buffer, a pipe, a .wsc
 // decompression -- the view is byte-identical and everything built on
-// it (read_log) behaves identically. open() maps every non-empty
+// it (the read loop of tests/read_records.hpp) behaves identically. open() maps every non-empty
 // regular file, so these tests reach its read() route through a FIFO,
 // which is never mapped. The mmap path snapshots the size at open; the
 // read() path is the one a concurrent truncation can race, so that
@@ -20,7 +20,7 @@
 
 #include "compress/codec.hpp"
 #include "logio/input.hpp"
-#include "logio/reader.hpp"
+#include "read_records.hpp"
 
 namespace wss::logio {
 namespace {
@@ -81,22 +81,25 @@ std::string sample_log() {
   return text;
 }
 
-/// Digest of a full read_log pass: every record field folded in, so
-/// two passes are equal iff the record streams are byte-identical.
-std::string read_digest(const fs::path& p, ReadStats* stats_out = nullptr) {
+using testing_util::ReadCounts;
+using testing_util::read_records;
+
+/// Digest of a full read pass: every record field folded in, so two
+/// passes are equal iff the record streams are byte-identical.
+std::string read_digest(const fs::path& p, ReadCounts* stats_out = nullptr) {
   std::string digest;
-  const ReadStats stats =
-      read_log(p, parse::SystemId::kThunderbird, 2005,
-               [&](const parse::LogRecord& rec) {
-                 digest += rec.source;
-                 digest += '|';
-                 digest += rec.program;
-                 digest += '|';
-                 digest += rec.body;
-                 digest += '|';
-                 digest += std::to_string(rec.time);
-                 digest += '\n';
-               });
+  const ReadCounts stats =
+      read_records(p, parse::SystemId::kThunderbird, 2005,
+                   [&](const parse::LogRecord& rec) {
+                     digest += rec.source;
+                     digest += '|';
+                     digest += rec.program;
+                     digest += '|';
+                     digest += rec.body;
+                     digest += '|';
+                     digest += std::to_string(rec.time);
+                     digest += '\n';
+                   });
   if (stats_out != nullptr) *stats_out = stats;
   return digest;
 }
@@ -117,15 +120,15 @@ TEST(LogioInput, MmapAndReadPathsAreByteIdentical) {
   EXPECT_EQ(readback.view(), text);
 }
 
-TEST(LogioInput, ReadLogIdenticalUnderBothPaths) {
+TEST(LogioInput, RecordsIdenticalUnderBothPaths) {
   const TempDir dir;
   const std::string text = sample_log();
   write_file(dir.file("log.txt"), text);
 
-  ReadStats mmap_stats;
+  ReadCounts mmap_stats;
   const std::string mmap_digest = read_digest(dir.file("log.txt"), &mmap_stats);
   std::thread writer = feed_fifo(dir.file("log.fifo"), text);
-  ReadStats read_stats;
+  ReadCounts read_stats;
   const std::string read_digest_s =
       read_digest(dir.file("log.fifo"), &read_stats);
   writer.join();
@@ -143,9 +146,9 @@ TEST(LogioInput, EmptyFileTakesReadPathAndYieldsNothing) {
   EXPECT_EQ(b.source(), InputBuffer::Source::kRead);
   EXPECT_TRUE(b.view().empty());
 
-  const ReadStats stats = read_log(dir.file("empty.log"),
-                                   parse::SystemId::kSpirit, 2005,
-                                   [](const parse::LogRecord&) { FAIL(); });
+  const ReadCounts stats = read_records(
+      dir.file("empty.log"), parse::SystemId::kSpirit, 2005,
+      [](const parse::LogRecord&) { FAIL(); });
   EXPECT_EQ(stats.lines, 0u);
 }
 
@@ -154,11 +157,11 @@ TEST(LogioInput, MissingTrailingNewlineDeliversTail) {
   write_file(dir.file("tail.log"), "Jun  3 15:42:50 sn1 kernel: a\nrest");
   std::size_t lines = 0;
   std::string last;
-  read_log(dir.file("tail.log"), parse::SystemId::kSpirit, 2005,
-           [&](const parse::LogRecord& rec) {
-             ++lines;
-             last = rec.raw;
-           });
+  read_records(dir.file("tail.log"), parse::SystemId::kSpirit, 2005,
+               [&](const parse::LogRecord& rec) {
+                 ++lines;
+                 last = rec.raw;
+               });
   EXPECT_EQ(lines, 2u);
   EXPECT_EQ(last, "rest");
 }
@@ -206,7 +209,7 @@ TEST(LogioInput, WscFilesDecompressToIdenticalBytes) {
   EXPECT_EQ(b.source(), InputBuffer::Source::kDecompressed);
   EXPECT_EQ(b.view(), text);
 
-  // And read_log over the .wsc matches read_log over the plain file.
+  // And the records read from the .wsc match the plain file's.
   write_file(dir.file("log.txt"), text);
   EXPECT_EQ(read_digest(dir.file("log.wsc")), read_digest(dir.file("log.txt")));
 }

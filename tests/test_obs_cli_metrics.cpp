@@ -107,20 +107,20 @@ TEST_F(ObsCliMetricsTest, StreamWritesPrometheusSnapshot) {
                 prom_value(prom, "wss_filter_suppressed_total"));
 }
 
-TEST_F(ObsCliMetricsTest, AnalyzeWritesMetricsAfterFileRun) {
+TEST_F(ObsCliMetricsTest, StreamWritesMetricsAfterFileRun) {
   const auto log = (dir_ / "log.txt").string();
-  const auto path = (dir_ / "analyze.json").string();
+  const auto path = (dir_ / "stream.json").string();
   ASSERT_EQ(run_tokens({"generate", "--system", "liberty", "--out", log,
                         "--cap", "300", "--chatter", "2000"}),
             0);
   obs::registry().reset();
-  ASSERT_EQ(run_tokens({"analyze", "--system", "liberty", "--in", log,
+  ASSERT_EQ(run_tokens({"stream", "--system", "liberty", "--in", log,
                         "--metrics", path}),
             0);
   const std::string json = slurp(path);
   EXPECT_NE(json.find("\"wss_tag_lines_total\""), std::string::npos);
   EXPECT_NE(json.find("\"wss_filter_offered_total\""), std::string::npos);
-  EXPECT_NE(json.find("\"path\": \"analyze_pass\", \"count\": 1"),
+  EXPECT_NE(json.find("\"path\": \"stream_pass\", \"count\": 1"),
             std::string::npos);
 }
 

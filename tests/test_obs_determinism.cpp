@@ -4,7 +4,7 @@
 // batch pipeline and the streaming engine, on all five systems.
 //
 // Counters count events, not time, and every per-event increment
-// happens in core::detail::process_line / the shared filter decision
+// happens in core::detail::reduce_line / the shared filter decision
 // sequence -- so thread count and batch-vs-stream may only change
 // *when* deltas get published, never the totals. Deliberately outside
 // the whitelist: wss_stream_* (stream-only machinery), the lazy-DFA

@@ -135,7 +135,7 @@ TEST(StreamCheckpoint, RestoreAndFinishEqualsUninterrupted) {
 
 TEST(StreamCheckpoint, FileModeRoundTrip) {
   // Render a small log, stream it line by line with a mid-stream
-  // checkpoint, and require equivalence in file (analyze-style) mode
+  // checkpoint, and require equivalence in file (ingest_line) mode
   // too -- this exercises year-tracker and source-intern state.
   sim::SimOptions opts;
   opts.category_cap = 400;

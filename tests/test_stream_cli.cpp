@@ -241,6 +241,51 @@ TEST_F(StreamCliTest, FileModeCheckpointResumeEqualsUninterrupted) {
   EXPECT_EQ(out_.str(), uninterrupted);
 }
 
+TEST_F(StreamCliTest, FileModeCountsSpiritsOneYearRolloverAcrossRestore) {
+  // Spirit's log starts 2005-01-01 and spans 558 days: one New Year.
+  const auto log = (dir_ / "log.txt").string();
+  ASSERT_EQ(run_tokens({"generate", "--system", "spirit", "--out", log,
+                        "--cap", "300", "--chatter", "2000"}),
+            0);
+  const std::vector<std::string> base = {"stream", "--system", "spirit",
+                                         "--in", log};
+  ASSERT_EQ(run_tokens(base), 0);
+  const std::string uninterrupted = out_.str();
+  EXPECT_NE(uninterrupted.find(" invalid timestamps, 1 year rollover(s)\n"),
+            std::string::npos)
+      << uninterrupted;
+
+  // Pause just before and just after the first January line after a
+  // December: the checkpoint must carry the tracker's month and its
+  // rollover count.
+  const auto lines = file_lines(log);
+  std::size_t january = 0;
+  while (january < lines.size() && lines[january].rfind("Dec", 0) != 0) {
+    ++january;
+  }
+  while (january < lines.size() && lines[january].rfind("Jan", 0) != 0) {
+    ++january;
+  }
+  ASSERT_GT(january, 1u);
+  ASSERT_LT(january + 1, lines.size());
+  for (const std::size_t split : {january - 1, january + 1}) {
+    SCOPED_TRACE(split);
+    const auto ck = (dir_ / "ck.wssc").string();
+    auto first = base;
+    first.insert(first.end(), {"--max-events", std::to_string(split),
+                               "--checkpoint", ck});
+    ASSERT_EQ(run_tokens(first), 0);
+    EXPECT_NE(out_.str().find(split < january ? ", 0 year rollover(s)"
+                                              : ", 1 year rollover(s)"),
+              std::string::npos)
+        << out_.str();
+    auto resumed = base;
+    resumed.insert(resumed.end(), {"--restore", ck});
+    ASSERT_EQ(run_tokens(resumed), 0);
+    EXPECT_EQ(out_.str(), uninterrupted);
+  }
+}
+
 TEST_F(StreamCliTest, FileModeMatchesPipelineOnEdgeCaseLines) {
   const auto log = (dir_ / "log.txt").string();
   ASSERT_EQ(run_tokens({"generate", "--system", "liberty", "--out", log,

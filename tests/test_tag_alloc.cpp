@@ -18,9 +18,8 @@
 #include <vector>
 
 #include "alloc_counter.hpp"
-#include "logio/reader.hpp"
 #include "match/scratch.hpp"
-#include "parse/dispatch.hpp"
+#include "read_records.hpp"
 #include "sim/generator.hpp"
 #include "tag/engine.hpp"
 #include "tag/metrics.hpp"
@@ -112,12 +111,11 @@ TEST(TagAllocEndToEnd, DoubledCorpusAddsZeroAllocations) {
     std::size_t hits = 0;
     const std::uint64_t before =
         testing_util::allocations();
-    logio::read_log(p, parse::SystemId::kBlueGeneL, 2005,
-                    [&](const parse::LogRecord& rec) {
-                      hits += engine.tag_line(rec.raw, scratch).has_value()
-                                  ? 1
-                                  : 0;
-                    });
+    testing_util::read_records(
+        p, parse::SystemId::kBlueGeneL, 2005,
+        [&](const parse::LogRecord& rec) {
+          hits += engine.tag_line(rec.raw, scratch).has_value() ? 1 : 0;
+        });
     const std::uint64_t after = testing_util::allocations();
     return {after - before, hits};
   };
