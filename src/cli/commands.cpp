@@ -1073,23 +1073,41 @@ int cmd_study(const Args& args, std::ostream& out, std::ostream& err) {
     obs::Span span("cmd_study");  // closes before the metrics snapshot
     core::PipelineOptions popts;
     popts.num_threads = threads;
+    popts.collect_source_tallies = false;  // no row reads them
     const core::ParallelPipeline pipeline(popts);
-    const int filter_threads = pipeline.resolved_threads();
-    for (const auto id : systems) {
-      const sim::Simulator simulator(id, sopts);
-      const core::PipelineResult r = pipeline.run(simulator);
-      const auto truth = simulator.ground_truth_alerts();
-      const auto kept = filter::apply_simultaneous_parallel(
-          truth, threshold_us, filter_threads);
+    // With a pool, the caller builds system k+1's simulator while the
+    // other workers reduce system k's chunks. It first counts system
+    // k's ground truth and admitted alerts, so that their vectors are
+    // freed before the next simulator grows: that order keeps two
+    // simulators, not two simulators and an alert stream, as the peak.
+    const bool overlap = pipeline.resolved_threads() > 1;
+    std::unique_ptr<const sim::Simulator> next;
+    for (std::size_t k = 0; k < systems.size(); ++k) {
+      const std::unique_ptr<const sim::Simulator> simulator =
+          next ? std::move(next)
+               : std::make_unique<const sim::Simulator>(systems[k], sopts);
+      std::size_t truth = 0;
+      std::size_t kept = 0;
+      const core::PipelineResult r = pipeline.run(*simulator, [&] {
+        {
+          const auto alerts = simulator->ground_truth_alerts();
+          truth = alerts.size();
+          // One thread: the pool's workers hold the others.
+          kept = filter::apply_simultaneous_parallel(alerts, threshold_us, 1)
+                     .size();
+        }
+        if (overlap && k + 1 < systems.size()) {
+          next = std::make_unique<const sim::Simulator>(systems[k + 1], sopts);
+        }
+      });
       t.add_row(
-          {std::string(parse::system_short_name(id)),
+          {std::string(parse::system_short_name(systems[k])),
            util::with_commas(static_cast<std::int64_t>(
-               simulator.events().size())),
+               simulator->events().size())),
            util::with_commas(static_cast<std::int64_t>(r.physical_messages)),
-           util::with_commas(static_cast<std::int64_t>(truth.size())),
-           util::with_commas(static_cast<std::int64_t>(kept.size())),
-           util::with_commas(
-               static_cast<std::int64_t>(truth.size() - kept.size())),
+           util::with_commas(static_cast<std::int64_t>(truth)),
+           util::with_commas(static_cast<std::int64_t>(kept)),
+           util::with_commas(static_cast<std::int64_t>(truth - kept)),
            util::with_commas(
                static_cast<std::int64_t>(r.corrupted_source_lines)),
            util::with_commas(

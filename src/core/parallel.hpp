@@ -2,10 +2,14 @@
 //
 // Shards the simulator's rendered line stream into fixed-size chunks
 // (sim::Simulator::event_shards), reduces each chunk to a partial
-// PipelineResult on a fixed-size std::jthread pool fed by a bounded
-// MPMC work queue, and merges the partials in chunk-index order. With
-// one worker the same loop reduces each chunk inline instead; that
-// branch is core::run_pipeline.
+// PipelineResult on W workers that claim chunk ids from one atomic
+// counter, and merges the partials in chunk-index order. The workers
+// are W-1 std::jthreads plus the calling thread: the caller first runs
+// an optional `meanwhile` task (serial work the pass need not wait
+// for, such as building the next input) and then drains chunks as the
+// last worker. With one worker the merge loop reduces each chunk
+// inline instead and `meanwhile` runs after it; that branch is
+// core::run_pipeline.
 //
 // Determinism guarantee: because chunk boundaries depend only on
 // PipelineOptions::chunk_events and the merge walks chunks in index
@@ -19,6 +23,8 @@
 // const-shareable, see test_tag_threading) and write partial results
 // into per-chunk slots they exclusively own.
 #pragma once
+
+#include <functional>
 
 #include "core/pipeline.hpp"
 
@@ -39,6 +45,17 @@ class ParallelPipeline {
   /// Runs parse->tag over every rendered line of `simulator`.
   /// Bit-identical to run_pipeline(simulator, options()).
   PipelineResult run(const sim::Simulator& simulator) const;
+
+  /// Same, and runs `meanwhile` exactly once on the calling thread
+  /// while the other workers reduce chunks; the caller then reduces
+  /// chunks too, as the last of the pass's workers.
+  /// With one worker, `meanwhile` runs after the pass. It may read
+  /// `simulator` (const, shared with the workers); what it holds while
+  /// it runs adds to the pass's peak memory. The first failure, a
+  /// chunk's or `meanwhile`'s, stops the pass and is rethrown after
+  /// every pool thread has joined.
+  PipelineResult run(const sim::Simulator& simulator,
+                     const std::function<void()>& meanwhile) const;
 
  private:
   PipelineOptions options_;

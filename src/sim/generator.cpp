@@ -116,6 +116,9 @@ void Simulator::for_each_line_in(
 std::vector<filter::Alert> Simulator::ground_truth_alerts() const {
   const auto cats = tag::categories_of(spec_->id);
   std::vector<filter::Alert> out;
+  out.reserve(static_cast<std::size_t>(std::count_if(
+      events_.begin(), events_.end(),
+      [](const SimEvent& e) { return e.is_alert(); })));
   for (const SimEvent& e : events_) {
     if (!e.is_alert()) continue;
     filter::Alert a;

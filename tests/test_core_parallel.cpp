@@ -4,11 +4,53 @@
 // Floating-point fields are compared with exact equality -- the
 // chunked canonical accumulation order (core/pipeline.hpp) is what
 // makes that possible.
+//
+// The run(simulator, meanwhile) cases pin the caller-side task: it runs
+// once, on the calling thread, leaves the result bit-identical, and its
+// failures and the workers' failures both reach the caller only after
+// the pool has joined.
 #include "core/parallel.hpp"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <cstdlib>
+#include <memory>
+#include <new>
+#include <stdexcept>
+#include <thread>
+
+#include "obs/metrics.hpp"
 #include "sim/corruption.hpp"
+
+// One armed allocation failure: the next allocation made on a thread
+// other than g_spared throws std::bad_alloc. This is how a test makes a
+// pool worker's chunk fail. These replace the test binary's global
+// operator new and delete.
+namespace {
+std::atomic<bool> g_fail_armed{false};
+std::atomic<std::thread::id> g_spared{};
+
+/// True, once, for the first allocation off g_spared after arming.
+bool fail_this_allocation() {
+  return g_fail_armed.load(std::memory_order_acquire) &&
+         std::this_thread::get_id() != g_spared.load() &&
+         g_fail_armed.exchange(false);
+}
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (fail_this_allocation()) throw std::bad_alloc();
+  if (void* p = std::malloc(size)) return p;
+  throw std::bad_alloc();
+}
+// Kept out of line: inlined into the cleanup of a `new T` expression,
+// free() makes GCC warn of a mismatch (-Wmismatched-new-delete).
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace wss::core {
 namespace {
@@ -136,6 +178,120 @@ TEST(ParallelPipeline, MoreThreadsThanChunksIsFine) {
   opts.chunk_events = 1 << 20;  // single chunk
   expect_identical(run_pipeline(simulator, opts),
                    ParallelPipeline(opts).run(simulator), "one chunk");
+}
+
+obs::Counter& events_counter() {
+  return obs::registry().counter("wss_pipeline_events_total");
+}
+
+/// Options that cut tiny_sim's log into several chunks, so 2, 4 and 7
+/// threads all take the pool branch.
+PipelineOptions small_chunks(int threads) {
+  PipelineOptions opts;
+  opts.num_threads = threads;
+  opts.chunk_events = 500;
+  return opts;
+}
+
+TEST(ParallelPipelineMeanwhile, RunsOnceOnTheCallingThread) {
+  const sim::Simulator simulator(SystemId::kLiberty, tiny_sim(true));
+  ASSERT_GT(simulator.event_shards(500).size(), 7u);
+  sim::SimOptions none;
+  none.category_cap = 0;
+  none.chatter_events = 0;
+  const sim::Simulator empty(SystemId::kLiberty, none);
+  ASSERT_LE(empty.event_shards(500).size(), 1u);  // the serial branch
+
+  for (const sim::Simulator* s : {&simulator, &empty}) {
+    for (const int threads : {1, 2, 4, 7}) {
+      SCOPED_TRACE("events=" + std::to_string(s->events().size()) +
+                   " threads=" + std::to_string(threads));
+      int calls = 0;
+      std::thread::id ran_on;
+      ParallelPipeline(small_chunks(threads)).run(*s, [&] {
+        ++calls;
+        ran_on = std::this_thread::get_id();
+      });
+      EXPECT_EQ(calls, 1);
+      EXPECT_EQ(ran_on, std::this_thread::get_id());
+    }
+  }
+}
+
+TEST(ParallelPipelineMeanwhile, OneWorkerRunsItAfterThePass) {
+  const sim::Simulator simulator(SystemId::kSpirit, tiny_sim(true));
+  obs::Counter& events = events_counter();
+  const std::uint64_t before = events.value();
+  std::uint64_t seen = 0;
+  ParallelPipeline(small_chunks(1)).run(simulator, [&] {
+    seen = events.value() - before;
+  });
+  EXPECT_EQ(seen, simulator.events().size());
+}
+
+TEST(ParallelPipelineMeanwhile, BuildingASimulatorMeanwhileKeepsTheResult) {
+  const sim::Simulator simulator(SystemId::kRedStorm, tiny_sim(true));
+  const PipelineResult serial = run_pipeline(simulator, small_chunks(1));
+  for (const int threads : {2, 4, 7}) {
+    std::unique_ptr<const sim::Simulator> next;
+    const PipelineResult r =
+        ParallelPipeline(small_chunks(threads)).run(simulator, [&] {
+          next = std::make_unique<const sim::Simulator>(SystemId::kBlueGeneL,
+                                                        tiny_sim(true));
+        });
+    ASSERT_NE(next, nullptr);
+    EXPECT_GT(next->events().size(), 0u);
+    expect_identical(serial, r, "threads=" + std::to_string(threads));
+  }
+}
+
+TEST(ParallelPipelineMeanwhile, ItsFailureIsRethrownAfterTheJoin) {
+  const sim::Simulator simulator(SystemId::kLiberty, tiny_sim(true));
+  obs::Counter& events = events_counter();
+  for (const int threads : {1, 2, 4, 7}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    try {
+      ParallelPipeline(small_chunks(threads)).run(simulator, [] {
+        throw std::runtime_error("meanwhile failed");
+      });
+      ADD_FAILURE() << "run returned";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "meanwhile failed");
+    }
+    // Every worker has joined: no line is reduced after the throw.
+    const std::uint64_t at_throw = events.value();
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_EQ(events.value(), at_throw);
+  }
+}
+
+TEST(ParallelPipelineMeanwhile, ChunkFailureDuringItIsRethrown) {
+  // Two threads: one pool worker reduces chunks while the caller is
+  // still inside `meanwhile`, which fails that worker's next allocation
+  // once it is inside a chunk. Small chunks keep many left to fail in.
+  sim::SimOptions so = tiny_sim(true);
+  so.chatter_events = 60000;
+  const sim::Simulator simulator(SystemId::kLiberty, so);
+  PipelineOptions opts = small_chunks(2);
+  opts.chunk_events = 64;
+  obs::Counter& events = events_counter();
+  const std::uint64_t before = events.value();
+  bool injected = false;
+  const auto fail_next_chunk = [&] {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    const auto waiting = [&] {
+      return std::chrono::steady_clock::now() < deadline;
+    };
+    while (events.value() == before && waiting()) std::this_thread::yield();
+    g_spared = std::this_thread::get_id();
+    g_fail_armed.store(true);
+    while (g_fail_armed.load() && waiting()) std::this_thread::yield();
+    injected = !g_fail_armed.exchange(false);
+  };
+  EXPECT_THROW(ParallelPipeline(opts).run(simulator, fail_next_chunk),
+               std::bad_alloc);
+  EXPECT_TRUE(injected) << "the worker finished before the failure was armed";
 }
 
 }  // namespace
