@@ -464,23 +464,28 @@ int cmd_anonymize(const Args& args, std::ostream& out, std::ostream& err) {
   if (!parse_metrics_flag(args, err, metrics)) return 2;
   if (reject_unused(args, err)) return 2;
 
-  logio::InputBuffer input;
+  // One pass: the reader yields the input one read() at a time, so
+  // memory stays one read buffer however large the log.
+  std::size_t lines = 0;
   try {
-    input = logio::InputBuffer::open(*in_path);
+    logio::ChunkReader reader = logio::ChunkReader::open(*in_path);
+    std::ofstream os(*out_path, std::ios::binary);
+    if (!os) {
+      err << "anonymize: cannot open " << *out_path << "\n";
+      return 1;
+    }
+    simd::ChunkSplitter splitter;
+    const auto on_line = [&](std::string_view line) {
+      os << anon.anonymize(line) << '\n';
+      ++lines;
+    };
+    std::string_view chunk;
+    while (reader.next(chunk)) splitter.feed(chunk, on_line);
+    splitter.finish(on_line);
   } catch (const std::exception& e) {
     err << "anonymize: " << e.what() << "\n";
     return 1;
   }
-  std::ofstream os(*out_path, std::ios::binary);
-  if (!os) {
-    err << "anonymize: cannot open " << *out_path << "\n";
-    return 1;
-  }
-  std::size_t lines = 0;
-  simd::for_each_line(input.view(), [&](std::string_view line) {
-    os << anon.anonymize(line) << '\n';
-    ++lines;
-  });
   out << util::format("anonymized %zu lines -> %s\n", lines,
                       out_path->c_str());
   return write_metrics(metrics, "anonymize", err);
@@ -725,36 +730,47 @@ int cmd_stream(const Args& args, std::ostream& out, std::ostream& err) {
       // signal -- the run is paused, not finished.
       truncated = resume + ingested < total;
     } else {
-      // File source: line-delimited log, optionally stdin ("-").
-      // InputBuffer mmaps plain files (zero-copy) and reads pipes to
-      // EOF, so the whole input is in memory up front: each line goes
-      // from the buffer straight to the engine on this thread,
-      // uncopied, and none is ever dropped.
-      const logio::InputBuffer input = *in_path == "-"
-                                           ? logio::InputBuffer::from_fd(0)
-                                           : logio::InputBuffer::open(*in_path);
-      const std::string_view text = input.view();
-      const simd::Level level = simd::active_level();
-      const char* p = text.data();
-      const char* const end = p + text.size();
-      // Manual split (not for_each_line) so the loop can stop early;
-      // getline semantics otherwise.
-      for (std::uint64_t index = 0; p != end; ++index) {
-        const char* nl = simd::find_byte(level, p, end, '\n');
-        const std::string_view line(p, static_cast<std::size_t>(nl - p));
-        p = nl == end ? end : nl + 1;
-        if (index < resume) continue;  // checkpoint resume skip
+      // File source: line-delimited log, optionally stdin ("-"). The
+      // reader yields the input one read() at a time and the splitter
+      // hands each line to the engine on this thread as soon as it is
+      // complete: resident input stays one read buffer, a live pipe is
+      // ingested as it is written, and no line is ever dropped. A line
+      // is a view into the buffer (or the splitter's arena when it
+      // straddles two reads), valid only for its ingest_line call.
+      logio::ChunkReader reader = *in_path == "-"
+                                      ? logio::ChunkReader::from_fd(0)
+                                      : logio::ChunkReader::open(*in_path);
+      simd::ChunkSplitter splitter;
+      std::uint64_t index = 0;
+      bool stop = false;
+      const auto on_line = [&](std::string_view line) {
+        if (stop || index++ < resume) return;  // checkpoint resume skip
         // Limits are tested before the next line: a run that stops at
         // the input's end is complete, not truncated.
         if (drain.stopped() ||
             (max_events > 0 &&
              ingested >= static_cast<std::uint64_t>(max_events))) {
-          truncated = true;
-          break;
+          truncated = stop = true;
+          return;
         }
         pipeline.ingest_line(line);
         ++ingested;
         tick();
+      };
+      std::string_view chunk;
+      while (!stop) {
+        // Tested before every read, not only before every line: a
+        // drain signal that lands while the last line of a read is
+        // ingested must not leave the run blocked on an idle pipe. A
+        // signal during the read() itself interrupts it (empty chunk).
+        if (drain.stopped()) {
+          truncated = stop = true;
+        } else if (reader.next(chunk)) {
+          splitter.feed(chunk, on_line);
+        } else {
+          splitter.finish(on_line);
+          break;
+        }
       }
     }
   } catch (const std::exception& e) {

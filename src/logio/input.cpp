@@ -22,20 +22,13 @@ namespace {
                            path.string() + ": " + std::strerror(errno));
 }
 
+/// Reads `fd` to EOF through a ChunkReader. Does not close `fd`.
 std::string drain_fd(int fd) {
   std::string out;
-  char buf[1 << 16];
-  for (;;) {
-    const ssize_t n = ::read(fd, buf, sizeof(buf));
-    if (n > 0) {
-      out.append(buf, static_cast<std::size_t>(n));
-      continue;
-    }
-    if (n == 0) return out;
-    if (errno == EINTR) continue;
-    throw std::runtime_error(std::string("read failed: ") +
-                             std::strerror(errno));
-  }
+  ChunkReader reader = ChunkReader::from_fd(fd);
+  std::string_view chunk;
+  while (reader.next(chunk)) out.append(chunk);
+  return out;
 }
 
 }  // namespace
@@ -73,10 +66,6 @@ InputBuffer InputBuffer::from_string(std::string text) {
   b.size_ = b.owned_.size();
   b.source_ = Source::kRead;
   return b;
-}
-
-InputBuffer InputBuffer::from_fd(int fd) {
-  return from_string(drain_fd(fd));
 }
 
 InputBuffer InputBuffer::open(const std::filesystem::path& path) {
@@ -119,6 +108,49 @@ InputBuffer InputBuffer::open(const std::filesystem::path& path) {
   }
   ::close(fd);
   return b;
+}
+
+ChunkReader ChunkReader::open(const std::filesystem::path& path) {
+  if (path.extension() == ".wsc") return ChunkReader(read_log_text(path));
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) throw_errno(path, "open");
+  return ChunkReader(fd, true);
+}
+
+ChunkReader::ChunkReader(int fd, bool owns_fd)
+    : source_(Source::kRead), fd_(fd), owns_fd_(owns_fd) {}
+
+ChunkReader::ChunkReader(std::string text)
+    : source_(Source::kDecompressed), text_(std::move(text)) {}
+
+ChunkReader::~ChunkReader() {
+  if (owns_fd_) ::close(fd_);
+}
+
+bool ChunkReader::next(std::string_view& chunk) {
+  if (source_ == Source::kDecompressed) {
+    if (done_) {
+      std::string().swap(text_);
+      return false;
+    }
+    done_ = true;
+    chunk = text_;
+    return !text_.empty();
+  }
+  // new char[] leaves the buffer uninitialised: no page is touched
+  // before read() fills it.
+  if (!buf_) buf_.reset(new char[kReadChunk]);
+  const ssize_t n = ::read(fd_, buf_.get(), kReadChunk);
+  if (n < 0) {
+    if (errno != EINTR) {
+      throw std::runtime_error(std::string("read failed: ") +
+                               std::strerror(errno));
+    }
+    chunk = {};
+    return true;
+  }
+  chunk = {buf_.get(), static_cast<std::size_t>(n)};
+  return n > 0;
 }
 
 }  // namespace wss::logio

@@ -1,21 +1,26 @@
-// Zero-copy batch input for the byte-level hot path.
+// Zero-copy input for the byte-level hot path.
 //
-// The file readers (stream --in, mine, anonymize) read a whole log and
-// stream lines out of it; copying the bytes through an istringstream
-// costs more than parsing them. InputBuffer maps a plain log file
-// read-only (MAP_PRIVATE) so the line splitter hands out views
-// straight into the page cache, and falls back to plain read() when
-// mapping is impossible or pointless: pipes and other non-regular
-// files, empty files, .wsc logs (which must be decompressed into an
-// owned buffer anyway), or when the kernel refuses the mapping.
-// The fallback paths are pinned byte-identical to the mmap path by
+// Two readers, one per access pattern:
+//  - InputBuffer: the whole input as one contiguous view, for readers
+//    that pass over it more than once (mine) or keep it (tests, the
+//    bench's reference). It maps a plain log file read-only
+//    (MAP_PRIVATE) so the line splitter hands out views straight into
+//    the page cache, and falls back to plain read() when mapping is
+//    impossible or pointless: FIFOs and other non-regular files, empty
+//    files, .wsc logs (which must be decompressed into an owned buffer
+//    anyway), or when the kernel refuses the mapping. The file size is
+//    snapshotted at open: a concurrent writer appending after open()
+//    is not seen (same contract as the old slurp reader).
+//  - ChunkReader: the input one read() at a time, for one-pass readers
+//    (stream --in, anonymize), so resident input stays one buffer on
+//    files, pipes and stdin alike.
+// Every route is pinned byte-identical to the mmap path by
 // tests/test_logio_input.cpp.
-//
-// The file size is snapshotted at open: a concurrent writer appending
-// after open() is not seen (same contract as the old slurp reader).
 #pragma once
 
+#include <cstddef>
 #include <filesystem>
+#include <memory>
 #include <string>
 #include <string_view>
 
@@ -42,10 +47,6 @@ class InputBuffer {
   /// above. Throws std::runtime_error when the file cannot be read.
   static InputBuffer open(const std::filesystem::path& path);
 
-  /// Drains an already-open descriptor (stdin, a pipe) via read().
-  /// Does not close `fd`. Throws std::runtime_error on read failure.
-  static InputBuffer from_fd(int fd);
-
   /// Wraps an owned string (tests, decompressed data).
   static InputBuffer from_string(std::string text);
 
@@ -61,6 +62,53 @@ class InputBuffer {
   void* map_ = nullptr;      ///< mmap base for kMmap
   std::size_t map_len_ = 0;  ///< mmap length (page-rounded source size)
   Source source_ = Source::kRead;
+};
+
+/// An input handed out one chunk at a time:
+///  - a file, pipe, FIFO or stdin is read() into one kReadChunk
+///    buffer, and each read is handed out as soon as it returns, so a
+///    live pipe is consumed as it is written;
+///  - a .wsc log is decompressed whole and handed out as one chunk:
+///    compress::decompress takes one container and has no block API.
+/// A chunk is valid until the next call to next(); a line cut by a
+/// chunk edge is the caller's to join (simd::ChunkSplitter does).
+/// Neither copyable nor movable: the factories return it in place.
+class ChunkReader {
+ public:
+  using Source = InputBuffer::Source;
+
+  static constexpr std::size_t kReadChunk = std::size_t{256} << 10;
+
+  /// Opens `path`, choosing the route as described above. Throws
+  /// std::runtime_error when the file cannot be opened.
+  static ChunkReader open(const std::filesystem::path& path);
+
+  /// Reads an already-open descriptor (stdin, a pipe) with read().
+  /// Does not close `fd`.
+  static ChunkReader from_fd(int fd) { return ChunkReader(fd, false); }
+
+  ChunkReader(const ChunkReader&) = delete;
+  ChunkReader& operator=(const ChunkReader&) = delete;
+  ~ChunkReader();
+
+  /// Points `chunk` at the next chunk and returns true, or returns
+  /// false at the end of the input. A read() that a signal interrupts
+  /// yields an empty chunk, so a caller blocked on an idle pipe can
+  /// check its stop flag. Throws std::runtime_error on a read error.
+  bool next(std::string_view& chunk);
+
+  Source source() const { return source_; }
+
+ private:
+  ChunkReader(int fd, bool owns_fd);
+  explicit ChunkReader(std::string text);
+
+  Source source_;
+  int fd_ = -1;                 ///< kRead: the descriptor read from
+  bool owns_fd_ = false;        ///< kRead: close fd_ when done
+  std::unique_ptr<char[]> buf_; ///< kRead: the one read buffer
+  std::string text_;            ///< kDecompressed: the text, until handed out
+  bool done_ = false;           ///< kDecompressed: the chunk went out
 };
 
 }  // namespace wss::logio

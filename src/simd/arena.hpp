@@ -2,14 +2,14 @@
 //
 // The miss path (chatter line -> parse -> tag -> no match -> discard)
 // runs hundreds of millions of times per study; a single per-line heap
-// allocation turns it allocator-bound. The pieces of that path that
-// need transient storage -- a line straddling two read chunks, a
-// carried partial line between feeds -- take it from an Arena instead:
-// alloc() bumps a pointer inside a block, reset() rewinds to empty
-// while KEEPING the blocks, so after the first pass over representative
-// input (the warm-up) the arena never touches the heap again. The
-// zero-allocation contract is pinned end to end by
-// tests/test_tag_alloc.cpp.
+// allocation turns it allocator-bound. simd::ChunkSplitter, fed the
+// read()s of a logio::ChunkReader (a file, a pipe, stdin), needs
+// transient storage for a line straddling two chunks and for the
+// partial line it carries between feeds; it takes both from an
+// Arena: alloc() bumps a pointer inside a block, reset() rewinds to
+// empty while KEEPING the blocks, so after the first pass over
+// representative input (the warm-up) the arena never touches the heap
+// again (tests/test_simd_differential.cpp pins the block count).
 //
 // Lifetime rule (DESIGN.md section 5h): memory returned by alloc() is
 // valid until the next reset() -- an arena-backed view must be consumed

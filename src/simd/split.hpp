@@ -23,7 +23,7 @@
 namespace wss::simd {
 
 /// Calls fn(std::string_view line) for each line of a contiguous
-/// buffer (the mmap'd zero-copy batch path: views point straight into
+/// buffer (a whole logio::InputBuffer: views point straight into
 /// `text`).
 template <typename F>
 void for_each_line(std::string_view text, F&& fn) {
@@ -41,8 +41,9 @@ void for_each_line(std::string_view text, F&& fn) {
   }
 }
 
-/// Push-based splitter for chunked input (read() fallback, stdin):
-/// feed() emits every line completed by the chunk -- views point into
+/// Push-based splitter for chunked input (logio::ChunkReader's read()s
+/// of a file, a pipe or stdin): feed() emits every line completed by
+/// the chunk -- views point into
 /// the chunk itself except for lines straddling a chunk boundary,
 /// which are assembled in a per-chunk arena (valid only during the
 /// fn call). finish() flushes the unterminated tail, getline-style.

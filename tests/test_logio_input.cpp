@@ -1,11 +1,13 @@
-// InputBuffer fallback-path contract: whatever route the bytes take
-// -- mmap'd pages, read() into an owned buffer, a pipe, a .wsc
-// decompression -- the view is byte-identical and everything built on
-// it (the read loop of tests/read_records.hpp) behaves identically. open() maps every non-empty
-// regular file, so these tests reach its read() route through a FIFO,
-// which is never mapped. The mmap path snapshots the size at open; the
-// read() path is the one a concurrent truncation can race, so that
-// case is tested deterministically there.
+// Input fallback-path contract: whatever route the bytes take --
+// mmap'd pages, read() into an owned buffer or ChunkReader's chunks, a
+// pipe, a .wsc decompression -- InputBuffer's view and ChunkReader's
+// concatenated chunks are byte-identical, and everything built on them
+// (the read loop of tests/read_records.hpp) behaves identically.
+// InputBuffer::open maps every non-empty regular file, so these tests
+// reach its read() route through a FIFO, which is never mapped. The
+// mmap path snapshots the size at open; the read() path is the one a
+// concurrent truncation can race, so that case is tested
+// deterministically there.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
@@ -79,6 +81,19 @@ std::string sample_log() {
             " kernel: event " + std::to_string(i) + "\n";
   }
   return text;
+}
+
+/// Every chunk a reader yields, concatenated; `chunks` counts them.
+std::string drain(ChunkReader& reader, std::size_t* chunks = nullptr) {
+  std::string out;
+  std::string_view chunk;
+  std::size_t n = 0;
+  while (reader.next(chunk)) {
+    out.append(chunk);
+    ++n;
+  }
+  if (chunks != nullptr) *chunks = n;
+  return out;
 }
 
 using testing_util::ReadCounts;
@@ -174,11 +189,12 @@ TEST(LogioInput, PipeTakesReadPath) {
     write_all(fds[1], payload);
     ::close(fds[1]);
   });
-  const InputBuffer b = InputBuffer::from_fd(fds[0]);
+  ChunkReader reader = ChunkReader::from_fd(fds[0]);
+  const std::string read = drain(reader);
   writer.join();
   ::close(fds[0]);
-  EXPECT_EQ(b.source(), InputBuffer::Source::kRead);
-  EXPECT_EQ(b.view(), payload);
+  EXPECT_EQ(reader.source(), InputBuffer::Source::kRead);
+  EXPECT_EQ(read, payload);
 }
 
 // A concurrent writer truncating the file mid-read: the read() path
@@ -195,10 +211,66 @@ TEST(LogioInput, TruncatedWhileReadingYieldsRemainingBytes) {
   ASSERT_GE(fd, 0);
   // "Concurrent writer" truncates after the reader opened the file.
   fs::resize_file(dir.file("big.log"), 1000);
-  const InputBuffer b = InputBuffer::from_fd(fd);
+  ChunkReader reader = ChunkReader::from_fd(fd);
+  const std::string read = drain(reader);
   ::close(fd);
-  EXPECT_EQ(b.view().size(), 1000u);
-  EXPECT_EQ(b.view(), std::string_view(text).substr(0, 1000));
+  EXPECT_EQ(read.size(), 1000u);
+  EXPECT_EQ(read, std::string_view(text).substr(0, 1000));
+}
+
+// A regular file is read, not mapped: handed out in chunks of at most
+// kReadChunk bytes, which put back together are the file.
+TEST(LogioInput, ChunkReaderReadsAFileInChunks) {
+  const TempDir dir;
+  std::string text;
+  while (text.size() < 2 * ChunkReader::kReadChunk + 12345) {
+    text += sample_log();
+  }
+  write_file(dir.file("big.log"), text);
+  ChunkReader reader = ChunkReader::open(dir.file("big.log"));
+  EXPECT_EQ(reader.source(), InputBuffer::Source::kRead);
+  std::string_view chunk;
+  std::string read;
+  std::size_t chunks = 0;
+  while (reader.next(chunk)) {
+    EXPECT_LE(chunk.size(), ChunkReader::kReadChunk);
+    read.append(chunk);
+    ++chunks;
+  }
+  EXPECT_EQ(read, text);
+  EXPECT_GE(chunks, 3u);
+  EXPECT_FALSE(reader.next(chunk));  // the end stays the end
+}
+
+// A FIFO named by path takes the read() route; an empty file yields
+// no chunk; a .wsc log is one decompressed chunk. Every route's bytes
+// equal InputBuffer's view of the same input.
+TEST(LogioInput, ChunkReaderRoutesMatchInputBuffer) {
+  const TempDir dir;
+  const std::string text = sample_log();
+
+  std::thread writer = feed_fifo(dir.file("log.fifo"), text);
+  ChunkReader fifo = ChunkReader::open(dir.file("log.fifo"));
+  const std::string from_fifo = drain(fifo);
+  writer.join();
+  EXPECT_EQ(fifo.source(), InputBuffer::Source::kRead);
+  EXPECT_EQ(from_fifo, text);
+
+  write_file(dir.file("empty.log"), "");
+  ChunkReader empty = ChunkReader::open(dir.file("empty.log"));
+  std::size_t chunks = 1;
+  EXPECT_TRUE(drain(empty, &chunks).empty());
+  EXPECT_EQ(chunks, 0u);
+  EXPECT_EQ(empty.source(), InputBuffer::Source::kRead);
+
+  write_file(dir.file("log.wsc"), compress::compress(text));
+  ChunkReader wsc = ChunkReader::open(dir.file("log.wsc"));
+  EXPECT_EQ(drain(wsc, &chunks), InputBuffer::open(dir.file("log.wsc")).view());
+  EXPECT_EQ(chunks, 1u);
+  EXPECT_EQ(wsc.source(), InputBuffer::Source::kDecompressed);
+
+  EXPECT_THROW(ChunkReader::open("/nonexistent/definitely/missing.log"),
+               std::runtime_error);
 }
 
 TEST(LogioInput, WscFilesDecompressToIdenticalBytes) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 #include <pthread.h>
 
+#include <algorithm>
 #include <chrono>
 #include <csignal>
 #include <filesystem>
@@ -19,6 +20,7 @@
 #include "simd/split.hpp"
 #include "stream/pipeline.hpp"
 #include "stream/report.hpp"
+#include "util/file.hpp"
 
 namespace wss::cli {
 namespace {
@@ -311,6 +313,49 @@ TEST_F(StreamCliTest, FileModeMatchesPipelineOnEdgeCaseLines) {
                       [&ref](std::string_view line) { ref.ingest_line(line); });
   ref.finish();
   EXPECT_EQ(ref.events(), lines.size() + 3);
+  EXPECT_EQ(out_.str(), stream::render_snapshot(ref.snapshot()));
+}
+
+// A file over several read chunks, with a long line across the first
+// two chunk edges: the chunked reader must hand the engine exactly the
+// lines InputBuffer + for_each_line do.
+TEST_F(StreamCliTest, FileModeMatchesPipelineAcrossReadChunks) {
+  const auto part = (dir_ / "part.txt").string();
+  ASSERT_EQ(run_tokens({"generate", "--system", "liberty", "--out", part,
+                        "--cap", "300", "--chatter", "20000"}),
+            0);
+  const std::string lines = util::read_file(part);
+  const std::size_t chunk = logio::ChunkReader::kReadChunk;
+  std::string text;
+  // Whole lines up to ~100 kB before the edge, then one line longer
+  // than two chunks.
+  while (text.size() + lines.size() < chunk - 100000) text += lines;
+  const std::size_t cut = chunk - 100000 - text.size();
+  text.append(lines, 0, lines.rfind('\n', cut) + 1);
+  const std::size_t long_line = text.size();
+  text += lines.substr(0, lines.find('\n')) + " " +
+          std::string(2 * chunk, 'x') + "\n";
+  ASSERT_LT(long_line, chunk);
+  ASSERT_GT(text.size(), 2 * chunk);
+  while (text.size() < 4 * chunk) text += lines;
+  text += "\n" + lines.substr(0, lines.find('\n')) + "\r\nunterminated";
+  const auto log = (dir_ / "log.txt").string();
+  util::publish_file(log, text);
+
+  ASSERT_EQ(run_tokens({"stream", "--system", "liberty", "--in", log,
+                        "--predict"}),
+            0);
+  stream::StreamPipelineOptions popts;
+  popts.strict_order = false;
+  popts.predict.enabled = true;
+  stream::StreamPipeline ref(parse::SystemId::kLiberty, popts);
+  const logio::InputBuffer input = logio::InputBuffer::open(log);
+  simd::for_each_line(input.view(),
+                      [&ref](std::string_view line) { ref.ingest_line(line); });
+  ref.finish();
+  EXPECT_EQ(ref.events(),
+            static_cast<std::uint64_t>(std::count(text.begin(), text.end(),
+                                                  '\n')) + 1);
   EXPECT_EQ(out_.str(), stream::render_snapshot(ref.snapshot()));
 }
 

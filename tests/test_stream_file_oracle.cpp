@@ -15,6 +15,7 @@
 
 #include "cli/commands.hpp"
 #include "filter/simultaneous.hpp"
+#include "logio/input.hpp"
 #include "read_records.hpp"
 #include "sim/spec.hpp"
 #include "tag/engine.hpp"
@@ -94,7 +95,8 @@ class StreamFileOracleTest : public ::testing::Test {
   }
 
   /// Writes a simulated log (corruption on, the generator's default).
-  std::string generate(SystemId system, int seed, bool compressed = false) {
+  std::string generate(SystemId system, int seed, bool compressed = false,
+                       const std::string& chatter = "3000") {
     const std::string name = std::string(parse::system_short_name(system)) +
                              "_" + std::to_string(seed) +
                              (compressed ? ".wsc" : ".log");
@@ -102,7 +104,7 @@ class StreamFileOracleTest : public ::testing::Test {
     std::vector<std::string> tokens = {
         "generate", "--system", std::string(parse::system_short_name(system)),
         "--out",    path,       "--seed", std::to_string(seed),
-        "--cap",    "300",      "--chatter", "3000"};
+        "--cap",    "300",      "--chatter", chatter};
     if (compressed) tokens.emplace_back("--compressed");
     EXPECT_EQ(run_tokens(tokens), 0) << err_.str();
     return path;
@@ -177,6 +179,14 @@ TEST_F(StreamFileOracleTest, OtherThresholds) {
                                generate(SystemId::kBlueGeneL, 1), 30.0);
   expect_stream_matches_oracle(SystemId::kSpirit,
                                generate(SystemId::kSpirit, 7), 1.0);
+}
+
+// A log over several of the reader's chunks: lines cut by a chunk edge
+// reach the engine whole.
+TEST_F(StreamFileOracleTest, SpansSeveralReadChunks) {
+  const std::string log = generate(SystemId::kBlueGeneL, 5, false, "10000");
+  ASSERT_GT(fs::file_size(log), 4 * logio::ChunkReader::kReadChunk);
+  expect_stream_matches_oracle(SystemId::kBlueGeneL, log, 5.0);
 }
 
 TEST_F(StreamFileOracleTest, ExplicitStartYear) {
