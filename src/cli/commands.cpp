@@ -685,7 +685,7 @@ int cmd_stream(const Args& args, std::ostream& out, std::ostream& err) {
     if (refresh <= 0 || ingested % static_cast<std::uint64_t>(refresh) != 0) {
       return;
     }
-    const auto snap = pipeline.snapshot();
+    const auto snap = pipeline.snapshot(stream::SnapshotScope::kStatus);
     const double secs =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       wall_start)

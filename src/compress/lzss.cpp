@@ -1,6 +1,8 @@
 #include "compress/lzss.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 #include <stdexcept>
 
 namespace wss::compress {
@@ -17,6 +19,28 @@ std::uint32_t hash4(const unsigned char* p) {
                           (static_cast<std::uint32_t>(p[2]) << 16) |
                           (static_cast<std::uint32_t>(p[3]) << 24);
   return (v * 2654435761u) >> (32 - kHashBits);
+}
+
+/// Length of the common prefix of `a` and `b`, at most `limit`: eight
+/// bytes per compare, the first differing byte found by XOR + ctz.
+std::size_t match_length(const unsigned char* a, const unsigned char* b,
+                         std::size_t limit) {
+  std::size_t len = 0;
+  for (; len + 8 <= limit; len += 8) {
+    std::uint64_t x;
+    std::uint64_t y;
+    std::memcpy(&x, a + len, 8);
+    std::memcpy(&y, b + len, 8);
+    if (const std::uint64_t diff = x ^ y; diff != 0) {
+      if constexpr (std::endian::native == std::endian::little) {
+        return len + static_cast<std::size_t>(std::countr_zero(diff) >> 3);
+      } else {
+        return len + static_cast<std::size_t>(std::countl_zero(diff) >> 3);
+      }
+    }
+  }
+  while (len < limit && a[len] == b[len]) ++len;
+  return len;
 }
 
 }  // namespace
@@ -69,12 +93,15 @@ std::string lzss_compress(std::string_view input) {
         // Distances are encoded in 16 bits, so the largest usable
         // distance is kWindowSize - 1 (65536 would wrap to 0).
         if (i - c >= kWindowSize) break;
-        std::size_t len = 0;
-        while (len < limit && data[c + len] == data[i + len]) ++len;
-        if (len > best_len) {
-          best_len = len;
-          best_dist = i - c;
-          if (len == limit) break;
+        // Only a candidate that also matches at best_len can beat the
+        // best so far (best_len < limit here, so both bytes exist).
+        if (data[c + best_len] == data[i + best_len]) {
+          const std::size_t len = match_length(data + c, data + i, limit);
+          if (len > best_len) {
+            best_len = len;
+            best_dist = i - c;
+            if (len == limit) break;
+          }
         }
         const std::int64_t next = prev[c % kWindowSize];
         if (next >= cand) break;  // chain entry overwritten; stop

@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -76,8 +77,9 @@ struct PipelineResult {
   int categories_observed = 0;
 
   // ---- Per-source tallies (Figure 2(b)) ----
-  /// Weighted message count by parsed source name.
-  std::map<std::string, double> messages_by_source;
+  /// Weighted message count by parsed source name (transparent
+  /// comparator: looked up by the record's view, no key copy).
+  std::map<std::string, double, std::less<>> messages_by_source;
   /// Weighted count of messages whose source was unattributable.
   double corrupted_source_weight = 0.0;
 };
@@ -113,7 +115,10 @@ PipelineResult make_partial(const ChunkContext& ctx);
 
 /// Per-caller parse state of reduce_line: one record and one parse
 /// scratch, reused across lines so the warm parse allocates nothing.
-/// After a reduce_line call, `rec` is that line's parsed record.
+/// After a reduce_line call, `rec` is that line's parsed record; its
+/// fields (and the scratch's field split) view the line, so they are
+/// valid only until the caller's line buffer changes -- every caller
+/// reads them before its next line and keeps copies of what it keeps.
 struct LineScratch {
   parse::LogRecord rec;
   parse::ParseScratch parse;

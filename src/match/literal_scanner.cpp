@@ -13,28 +13,51 @@ LiteralScanner::LiteralScanner(std::vector<std::string> literals)
   }
   if (literals_.empty()) return;
 
-  // Phase 1: classic dense trie over the full byte alphabet, as build
-  // scratch. -1 = no edge yet.
+  // Phase 1: byte classes. Any byte occurring in no literal has
+  // next[s][b] == 0 for every s (its fail resolution bottoms out at
+  // the root, which has no edge on it), so all such bytes share class
+  // 0; every distinct literal byte gets its own class. The trie and
+  // the fail links are built over these classes, not over 256-wide
+  // rows. The row stride of trans_ is padded to a power of two so the
+  // scan indexes with a shift, not a multiply, on the load's
+  // dependency chain.
+  for (const std::string& lit : literals_) {
+    if (lit.empty()) {
+      throw std::invalid_argument("LiteralScanner: empty literal");
+    }
+    for (const char ch : lit) {
+      const auto c = static_cast<unsigned char>(ch);
+      // If all 256 byte values occur in literals, exactly one stays
+      // in class 0 -- then there are no catch-all bytes to share it
+      // with, so per-byte distinctness still holds.
+      if (byte_class_[c] == 0 && num_classes_ < 255) {
+        byte_class_[c] = static_cast<std::uint8_t>(++num_classes_);
+      }
+    }
+  }
+  ++num_classes_;  // the catch-all class 0
+  shift_ = static_cast<std::uint32_t>(
+      std::countr_zero(std::bit_ceil(static_cast<std::uint32_t>(num_classes_))));
+  const std::size_t ncls = num_classes_;
+
+  // Phase 2: dense trie over the classes, as build scratch. -1 = no
+  // edge yet.
   std::vector<std::int32_t> next;
   std::vector<std::vector<std::uint16_t>> out;
   const auto new_state = [&]() -> std::int32_t {
-    const auto s = static_cast<std::int32_t>(next.size() / 256);
-    next.insert(next.end(), 256, -1);
+    const auto s = static_cast<std::int32_t>(next.size() / ncls);
+    next.insert(next.end(), ncls, -1);
     out.emplace_back();
     return s;
   };
   new_state();  // root
   for (std::size_t i = 0; i < literals_.size(); ++i) {
-    const std::string& lit = literals_[i];
-    if (lit.empty()) {
-      throw std::invalid_argument("LiteralScanner: empty literal");
-    }
     std::int32_t s = 0;
-    for (const char ch : lit) {
-      const auto c = static_cast<unsigned char>(ch);
+    for (const char ch : literals_[i]) {
+      const std::size_t c = byte_class_[static_cast<unsigned char>(ch)];
       // NB: new_state() reallocates next, so the edge slot must be
       // re-indexed (never held by reference) across the call.
-      const std::size_t slot = static_cast<std::size_t>(s) * 256 + c;
+      const std::size_t slot = static_cast<std::size_t>(s) * ncls + c;
       std::int32_t edge = next[slot];
       if (edge < 0) {
         edge = new_state();
@@ -44,21 +67,22 @@ LiteralScanner::LiteralScanner(std::vector<std::string> literals)
     }
     out[static_cast<std::size_t>(s)].push_back(static_cast<std::uint16_t>(i));
   }
-  const std::size_t nstates = next.size() / 256;
+  const std::size_t nstates = next.size() / ncls;
   if (nstates > 0xffff) {
     throw std::invalid_argument(
         "LiteralScanner: literal set exceeds 65535 automaton states");
   }
 
-  // Phase 2: BFS fail links; missing edges are resolved to the fail
+  // Phase 3a: BFS fail links; missing edges are resolved to the fail
   // state's edge as we go, turning the trie into a complete DFA (one
   // lookup per scanned byte). Outputs are merged down fail links so a
   // state accepts every literal ending at it, including proper
-  // suffixes.
+  // suffixes. (A fail state is shallower, so BFS completes its row and
+  // its outputs before any state that falls back to it.)
   std::vector<std::int32_t> fail(nstates, 0);
   std::deque<std::int32_t> queue;
-  for (int c = 0; c < 256; ++c) {
-    std::int32_t& edge = next[static_cast<std::size_t>(c)];
+  for (std::size_t c = 0; c < ncls; ++c) {
+    std::int32_t& edge = next[c];
     if (edge < 0) {
       edge = 0;
     } else {
@@ -67,19 +91,15 @@ LiteralScanner::LiteralScanner(std::vector<std::string> literals)
     }
   }
   while (!queue.empty()) {
-    const std::int32_t u = queue.front();
+    const auto u = static_cast<std::size_t>(queue.front());
     queue.pop_front();
-    const std::int32_t f = fail[static_cast<std::size_t>(u)];
-    if (!out[static_cast<std::size_t>(f)].empty()) {
-      auto& ou = out[static_cast<std::size_t>(u)];
-      const auto& of = out[static_cast<std::size_t>(f)];
-      ou.insert(ou.end(), of.begin(), of.end());
+    const auto f = static_cast<std::size_t>(fail[u]);
+    if (!out[f].empty()) {
+      out[u].insert(out[u].end(), out[f].begin(), out[f].end());
     }
-    for (int c = 0; c < 256; ++c) {
-      std::int32_t& edge = next[static_cast<std::size_t>(u) * 256 +
-                                static_cast<std::size_t>(c)];
-      const std::int32_t via_fail =
-          next[static_cast<std::size_t>(f) * 256 + static_cast<std::size_t>(c)];
+    for (std::size_t c = 0; c < ncls; ++c) {
+      std::int32_t& edge = next[u * ncls + c];
+      const std::int32_t via_fail = next[f * ncls + c];
       if (edge < 0) {
         edge = via_fail;
       } else {
@@ -88,31 +108,6 @@ LiteralScanner::LiteralScanner(std::vector<std::string> literals)
       }
     }
   }
-
-  // Phase 3a: byte classes. Any byte occurring in no literal has
-  // next[s][b] == 0 for every s (its fail resolution bottoms out at
-  // the root, which has no edge on it), so all such bytes share class
-  // 0; every distinct literal byte gets its own class. The row stride
-  // is padded to a power of two so the scan indexes with a shift, not
-  // a multiply, on the load's dependency chain.
-  bool seen[256] = {};
-  for (const std::string& lit : literals_) {
-    for (const char ch : lit) {
-      const auto c = static_cast<unsigned char>(ch);
-      if (!seen[c]) {
-        seen[c] = true;
-        // If all 256 byte values occur in literals, exactly one stays
-        // in class 0 -- then there are no catch-all bytes to share it
-        // with, so per-byte distinctness still holds.
-        if (num_classes_ < 255) {
-          byte_class_[c] = static_cast<std::uint8_t>(++num_classes_);
-        }
-      }
-    }
-  }
-  ++num_classes_;  // the catch-all class 0
-  shift_ = static_cast<std::uint32_t>(
-      std::countr_zero(std::bit_ceil(static_cast<std::uint32_t>(num_classes_))));
 
   // Phase 3b: renumber so accepting states occupy the top of the id
   // space -- the scan's accept test becomes `state >= out_min_`. The
@@ -131,9 +126,8 @@ LiteralScanner::LiteralScanner(std::vector<std::string> literals)
   trans_.assign(nstates << shift_, 0);
   for (std::size_t s = 0; s < nstates; ++s) {
     const std::size_t row = static_cast<std::size_t>(perm[s]) << shift_;
-    for (int c = 0; c < 256; ++c) {
-      trans_[row | byte_class_[c]] =
-          perm[static_cast<std::size_t>(next[s * 256 + static_cast<std::size_t>(c)])];
+    for (std::size_t c = 0; c < ncls; ++c) {
+      trans_[row | c] = perm[static_cast<std::size_t>(next[s * ncls + c])];
     }
   }
   out_offsets_.assign(nstates - out_min_ + 1, 0);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <map>
 #include <memory>
 #include <stdexcept>
 #include <unordered_map>
@@ -128,31 +127,42 @@ void MultiRegex::build_byte_classes() {
   // the \b word test -- can tell them apart; collapsing them shrinks
   // every DFA state's transition array from 256 entries to one per
   // equivalence class (log text typically yields a few dozen).
-  std::vector<const CharClass*> distinct;
+  //
+  // Partition refinement: start from the word/non-word split and split
+  // every block by each distinct class in turn. Each round relabels
+  // blocks in order of their first byte, so class ids follow the first
+  // byte of each class.
+  std::vector<CharClass> distinct;
   for (const Inst& in : prog_) {
-    if (in.op != Op::kClass) continue;
-    bool seen = false;
-    for (const CharClass* d : distinct) {
-      if (*d == in.cls) {
-        seen = true;
-        break;
-      }
-    }
-    if (!seen) distinct.push_back(&in.cls);
+    if (in.op == Op::kClass) distinct.push_back(in.cls);
   }
-  std::map<std::vector<bool>, std::uint16_t> signatures;
-  for (int b = 0; b < 256; ++b) {
-    const auto c = static_cast<unsigned char>(b);
-    std::vector<bool> sig;
-    sig.reserve(distinct.size() + 1);
-    sig.push_back(is_word_byte(c));
-    for (const CharClass* d : distinct) sig.push_back(d->contains(c));
-    const auto [it, inserted] = signatures.emplace(sig, num_classes_);
-    if (inserted) {
-      class_rep_.push_back(c);
-      ++num_classes_;
+  std::sort(distinct.begin(), distinct.end());
+  distinct.erase(std::unique(distinct.begin(), distinct.end()), distinct.end());
+
+  byte_class_.fill(0);
+  const auto refine = [this](const auto& member) {
+    // Block b's bytes go to new block relabel[2b] (outside the set) or
+    // relabel[2b + 1] (inside).
+    std::array<std::int16_t, 512> relabel;
+    relabel.fill(-1);
+    std::int16_t blocks = 0;
+    for (int b = 0; b < 256; ++b) {
+      const auto c = static_cast<unsigned char>(b);
+      std::int16_t& to = relabel[byte_class_[c] * 2u + (member(c) ? 1u : 0u)];
+      if (to < 0) to = blocks++;
+      byte_class_[c] = static_cast<std::uint16_t>(to);
     }
-    byte_class_[static_cast<std::size_t>(b)] = it->second;
+    num_classes_ = static_cast<std::uint16_t>(blocks);
+  };
+  refine([](unsigned char c) { return is_word_byte(c); });
+  for (const CharClass& d : distinct) {
+    if (num_classes_ == 256) break;  // every byte is its own class
+    refine([&d](unsigned char c) { return d.contains(c); });
+  }
+  for (int b = 0; b < 256; ++b) {
+    if (byte_class_[static_cast<std::size_t>(b)] == class_rep_.size()) {
+      class_rep_.push_back(static_cast<unsigned char>(b));
+    }
   }
 }
 

@@ -83,6 +83,8 @@ class MultiRegex {
   // ---- Diagnostics ----
   std::size_t program_size() const { return prog_.size(); }
   std::size_t byte_classes() const { return num_classes_; }
+  /// The class of byte `b` (classes are numbered in first-byte order).
+  std::uint16_t byte_class(unsigned char b) const { return byte_class_[b]; }
   const Options& options() const { return opts_; }
 
  private:

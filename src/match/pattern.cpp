@@ -1,5 +1,7 @@
 #include "match/pattern.hpp"
 
+#include <bit>
+
 namespace wss::match {
 
 namespace {
@@ -376,11 +378,10 @@ void CharClass::negate() {
 
 int CharClass::singleton() const {
   int found = -1;
-  for (int c = 0; c < 256; ++c) {
-    if (contains(static_cast<unsigned char>(c))) {
-      if (found >= 0) return -1;
-      found = c;
-    }
+  for (int w = 0; w < 4; ++w) {
+    if (bits_[w] == 0) continue;
+    if (found >= 0 || std::popcount(bits_[w]) != 1) return -1;
+    found = w * 64 + std::countr_zero(bits_[w]);
   }
   return found;
 }

@@ -20,6 +20,7 @@
 //   anchors                    ^ $ \b \B
 #pragma once
 
+#include <compare>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -55,6 +56,8 @@ class CharClass {
   int singleton() const;
 
   friend bool operator==(const CharClass&, const CharClass&) = default;
+  /// An arbitrary total order (sorting deduplicates class sets).
+  friend auto operator<=>(const CharClass&, const CharClass&) = default;
 
  private:
   std::uint64_t bits_[4];

@@ -5,7 +5,6 @@
 #include <array>
 #include <cstdint>
 #include <optional>
-#include <string>
 #include <string_view>
 
 #include "util/time.hpp"
@@ -65,31 +64,31 @@ std::string_view severity_syslog_name(Severity s);
 /// unknown spellings.
 std::optional<Severity> parse_severity(std::string_view s);
 
-/// One parsed log message.
+/// One parsed log message, as views into the line it was parsed from.
+///
+/// Lifetime: `source`, `program`, `body` and `raw` point into the
+/// parser's input line, so a record is valid only while that line is.
+/// Every route parses a line, reads the record and is done with both
+/// before the next line (core::detail::reduce_line); a caller that
+/// keeps anything past its line copies it (StreamPipeline::intern and
+/// the per-source tally build their own std::string keys).
 struct LogRecord {
   util::TimeUs time = 0;          ///< event time (0 if unparseable)
   SystemId system = SystemId::kBlueGeneL;
   Severity severity = Severity::kNone;
-  std::string source;             ///< attributed node/host ("" if corrupted)
-  std::string program;            ///< syslog tag or BG/L facility
-  std::string body;               ///< free-text message body
-  std::string raw;                ///< the original line, verbatim
+  std::string_view source;        ///< attributed node/host ("" if corrupted)
+  std::string_view program;       ///< syslog tag or BG/L facility
+  std::string_view body;          ///< free-text message body
+  std::string_view raw;           ///< the original line, verbatim
 
   bool timestamp_valid = false;   ///< time could be parsed
   bool source_corrupted = false;  ///< source field garbled / missing
 
-  /// Returns the record to its default state while KEEPING the string
-  /// capacities, so the reusing caller (parse_line_into) allocates
-  /// nothing once the strings have grown to the corpus's line sizes.
-  void reset() {
-    time = 0;
-    severity = Severity::kNone;
-    source.clear();
-    program.clear();
-    body.clear();
-    raw.clear();
-    timestamp_valid = false;
-    source_corrupted = false;
+  /// Returns the record to its default state, viewing `line` as raw.
+  void reset(SystemId sys, std::string_view line) {
+    *this = LogRecord{};
+    system = sys;
+    raw = line;
   }
 };
 

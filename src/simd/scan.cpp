@@ -10,24 +10,6 @@
 
 namespace wss::simd {
 
-void nibble_set_add(NibbleSet& s, unsigned char b) {
-  s.member[b] = true;
-  s.empty = false;
-  // One group bit per high-nibble class (mod 8). A byte is claimed by
-  // the approximation when lo[] and hi[] share a group bit, so every
-  // member matches; collisions (hi nibbles 8 apart with crossed lo
-  // nibbles) only ever overmatch.
-  const unsigned char bit = static_cast<unsigned char>(1u << ((b >> 4) & 7));
-  s.lo[b & 0x0f] |= bit;
-  s.hi[b >> 4] |= bit;
-}
-
-NibbleSet make_nibble_set(std::string_view bytes) {
-  NibbleSet s;
-  for (const char c : bytes) nibble_set_add(s, static_cast<unsigned char>(c));
-  return s;
-}
-
 namespace {
 
 /// Bucket a prefix pair hashes to. Any deterministic map works for
@@ -51,7 +33,14 @@ void pair_tables_add_pair(PairTables& t, unsigned char b0, unsigned char b1) {
 }
 
 void pair_tables_add_single(PairTables& t, unsigned char b) {
-  nibble_set_add(t.single, b);
+  // One group bit per high-nibble class (mod 8). A byte is claimed by
+  // the approximation when lo[] and hi[] share a group bit, so every
+  // member matches; collisions (hi nibbles 8 apart with crossed lo
+  // nibbles) only ever overmatch.
+  const unsigned char bit = static_cast<unsigned char>(1u << ((b >> 4) & 7));
+  t.single.lo[b & 0x0f] |= bit;
+  t.single.hi[b >> 4] |= bit;
+  t.single.empty = false;
 }
 
 namespace {
@@ -61,22 +50,6 @@ namespace {
 const char* find_byte_scalar(const char* p, const char* end, unsigned char c) {
   for (; p != end; ++p) {
     if (static_cast<unsigned char>(*p) == c) return p;
-  }
-  return end;
-}
-
-const char* find_in_set_scalar(const char* p, const char* end,
-                               const NibbleSet& s) {
-  for (; p != end; ++p) {
-    if (s.member[static_cast<unsigned char>(*p)]) return p;
-  }
-  return end;
-}
-
-const char* find_not_in_set_scalar(const char* p, const char* end,
-                                   const NibbleSet& s) {
-  for (; p != end; ++p) {
-    if (!s.member[static_cast<unsigned char>(*p)]) return p;
   }
   return end;
 }
@@ -132,38 +105,6 @@ __attribute__((target("ssse3"))) inline unsigned nibble_mask16(
                                   _mm_shuffle_epi8(hi_tbl, high));
   const __m128i zero = _mm_cmpeq_epi8(m, _mm_setzero_si128());
   return ~static_cast<unsigned>(_mm_movemask_epi8(zero)) & 0xffffu;
-}
-
-__attribute__((target("ssse3"))) const char* find_in_set_sse2(
-    const char* p, const char* end, const NibbleSet& s) {
-  for (; p + 16 <= end; p += 16) {
-    unsigned m =
-        nibble_mask16(_mm_loadu_si128(reinterpret_cast<const __m128i*>(p)), s);
-    while (m != 0) {
-      const unsigned i = __builtin_ctz(m);
-      if (s.member[static_cast<unsigned char>(p[i])]) return p + i;
-      m &= m - 1;  // overmatch: drop and keep looking
-    }
-  }
-  return find_in_set_scalar(p, end, s);
-}
-
-__attribute__((target("ssse3"))) const char* find_not_in_set_sse2(
-    const char* p, const char* end, const NibbleSet& s) {
-  for (; p + 16 <= end; p += 16) {
-    const unsigned m =
-        nibble_mask16(_mm_loadu_si128(reinterpret_cast<const __m128i*>(p)), s);
-    // A clear approximation bit is a definite non-member; set bits
-    // before it may still be non-members (overmatch), so verify those
-    // in order.
-    const unsigned definite = ~m & 0xffffu;
-    const unsigned stop = definite != 0 ? __builtin_ctz(definite) : 16u;
-    for (unsigned i = 0; i < stop; ++i) {
-      if (!s.member[static_cast<unsigned char>(p[i])]) return p + i;
-    }
-    if (definite != 0) return p + stop;
-  }
-  return find_not_in_set_scalar(p, end, s);
 }
 
 __attribute__((target("ssse3"))) const char* pair_find_sse2(
@@ -250,41 +191,6 @@ __attribute__((target("avx2"))) inline unsigned nibble_mask32(
   return ~static_cast<unsigned>(_mm256_movemask_epi8(zero));
 }
 
-__attribute__((target("avx2"))) const char* find_in_set_avx2(
-    const char* p, const char* end, const NibbleSet& s) {
-  if (end - p >= 32) {
-    for (; p + 32 <= end; p += 32) {
-      unsigned m = nibble_mask32(
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p)), s);
-      while (m != 0) {
-        const unsigned i = __builtin_ctz(m);
-        if (s.member[static_cast<unsigned char>(p[i])]) return p + i;
-        m &= m - 1;
-      }
-    }
-    _mm256_zeroupper();
-  }
-  return find_in_set_sse2(p, end, s);
-}
-
-__attribute__((target("avx2"))) const char* find_not_in_set_avx2(
-    const char* p, const char* end, const NibbleSet& s) {
-  if (end - p >= 32) {
-    for (; p + 32 <= end; p += 32) {
-      const unsigned m = nibble_mask32(
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p)), s);
-      const unsigned definite = ~m;
-      const unsigned stop = definite != 0 ? __builtin_ctz(definite) : 32u;
-      for (unsigned i = 0; i < stop; ++i) {
-        if (!s.member[static_cast<unsigned char>(p[i])]) return p + i;
-      }
-      if (definite != 0) return p + stop;
-    }
-    _mm256_zeroupper();
-  }
-  return find_not_in_set_sse2(p, end, s);
-}
-
 __attribute__((target("avx2"))) const char* pair_find_avx2(
     const char* p, const char* end, const PairTables& t,
     const std::uint64_t* pair_start) {
@@ -341,16 +247,6 @@ inline std::uint64_t neon_nibble_mask(uint8x16_t bytemask) {
   return vget_lane_u64(vreinterpret_u64_u8(narrowed), 0);
 }
 
-/// Compresses a nibble-per-position mask to a bit-per-position mask.
-inline std::uint64_t neon_compress_mask(std::uint64_t nm) {
-  std::uint64_t b = nm & 0x1111111111111111ULL;
-  b = (b | (b >> 3)) & 0x0303030303030303ULL;
-  b = (b | (b >> 6)) & 0x000f000f000f000fULL;
-  b = (b | (b >> 12)) & 0x000000ff000000ffULL;
-  b = (b | (b >> 24)) & 0x000000000000ffffULL;
-  return b;
-}
-
 const char* find_byte_neon(const char* p, const char* end, unsigned char c) {
   const uint8x16_t needle = vdupq_n_u8(c);
   for (; p + 16 <= end; p += 16) {
@@ -370,38 +266,6 @@ inline uint8x16_t nibble_bytes_neon(uint8x16_t v, const NibbleSet& s) {
   const uint8x16_t m =
       vandq_u8(vqtbl1q_u8(lo_tbl, low), vqtbl1q_u8(hi_tbl, high));
   return vtstq_u8(m, m);
-}
-
-const char* find_in_set_neon(const char* p, const char* end,
-                             const NibbleSet& s) {
-  for (; p + 16 <= end; p += 16) {
-    const uint8x16_t v = vld1q_u8(reinterpret_cast<const std::uint8_t*>(p));
-    std::uint64_t m = neon_nibble_mask(nibble_bytes_neon(v, s));
-    while (m != 0) {
-      const unsigned i = static_cast<unsigned>(__builtin_ctzll(m)) >> 2;
-      if (s.member[static_cast<unsigned char>(p[i])]) return p + i;
-      m &= ~(std::uint64_t{0xf} << (i * 4));
-    }
-  }
-  return find_in_set_scalar(p, end, s);
-}
-
-const char* find_not_in_set_neon(const char* p, const char* end,
-                                 const NibbleSet& s) {
-  for (; p + 16 <= end; p += 16) {
-    const uint8x16_t v = vld1q_u8(reinterpret_cast<const std::uint8_t*>(p));
-    const std::uint64_t m = neon_nibble_mask(nibble_bytes_neon(v, s));
-    const std::uint64_t definite = ~m & 0xffffffffffffffffULL;
-    const unsigned stop =
-        m == 0xffffffffffffffffULL
-            ? 16u
-            : static_cast<unsigned>(__builtin_ctzll(definite)) >> 2;
-    for (unsigned i = 0; i < stop; ++i) {
-      if (!s.member[static_cast<unsigned char>(p[i])]) return p + i;
-    }
-    if (stop < 16u) return p + stop;
-  }
-  return find_not_in_set_scalar(p, end, s);
 }
 
 const char* pair_find_neon(const char* p, const char* end,
@@ -438,19 +302,15 @@ const char* pair_find_neon(const char* p, const char* end,
 
 }  // namespace
 
-// Short-range cutoffs (all dispatchers): a range below one vector
+// Short-range cutoffs (both dispatchers): a range below one vector
 // block never enters a vector loop anyway -- it would only pay the
 // per-call table setup and the nested avx2 -> sse2 -> scalar
-// fallthrough. Field tokens in real log lines are mostly a few bytes,
-// so the layer ablation showed the vector levels LOSING on the field
-// scans until sub-block ranges were routed straight to the scalar
-// twin. Results are identical by construction (the vector loops are
-// pure prefilters over the same exact predicate).
-//
-// The same reasoning applies one level up: a 16-31 byte range at kAvx2
-// enters the avx2 kernel only to fail its own 32-byte guard and hop to
-// sse2 -- an extra call on exactly the token lengths log fields favor.
-// The dispatcher routes that band straight to the sse2 twin.
+// fallthrough, so sub-block ranges go straight to the scalar twin.
+// Results are identical by construction (the vector loops are pure
+// prefilters over the same exact predicate). The same reasoning
+// applies one level up: a 16-31 byte range at kAvx2 would enter the
+// avx2 kernel only to fail its own 32-byte guard and hop to sse2, so
+// the dispatcher routes that band straight to the sse2 twin.
 
 const char* find_byte(Level level, const char* p, const char* end,
                       unsigned char c) {
@@ -469,48 +329,6 @@ const char* find_byte(Level level, const char* p, const char* end,
 #endif
     default:
       return find_byte_scalar(p, end, c);
-  }
-}
-
-const char* find_in_set(Level level, const char* p, const char* end,
-                        const NibbleSet& s) {
-  if (s.empty) return end;
-  if (end - p < 16) return find_in_set_scalar(p, end, s);
-  switch (level) {
-#ifdef WSS_SIMD_X86
-    case Level::kAvx2:
-      if (end - p < 32) return find_in_set_sse2(p, end, s);
-      return find_in_set_avx2(p, end, s);
-    case Level::kSse2:
-      return find_in_set_sse2(p, end, s);
-#endif
-#ifdef WSS_SIMD_NEON
-    case Level::kNeon:
-      return find_in_set_neon(p, end, s);
-#endif
-    default:
-      return find_in_set_scalar(p, end, s);
-  }
-}
-
-const char* find_not_in_set(Level level, const char* p, const char* end,
-                            const NibbleSet& s) {
-  if (s.empty) return p;
-  if (end - p < 16) return find_not_in_set_scalar(p, end, s);
-  switch (level) {
-#ifdef WSS_SIMD_X86
-    case Level::kAvx2:
-      if (end - p < 32) return find_not_in_set_sse2(p, end, s);
-      return find_not_in_set_avx2(p, end, s);
-    case Level::kSse2:
-      return find_not_in_set_sse2(p, end, s);
-#endif
-#ifdef WSS_SIMD_NEON
-    case Level::kNeon:
-      return find_not_in_set_neon(p, end, s);
-#endif
-    default:
-      return find_not_in_set_scalar(p, end, s);
   }
 }
 

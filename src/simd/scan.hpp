@@ -1,6 +1,7 @@
 // Vectorized byte-scanning primitives -- the kernels under the line
-// splitter, the frame decoder, the parse field scans, and the literal
-// scanner's root skip.
+// splitter, the frame decoder and the literal scanner's root skip.
+// (Field splitting is a plain table loop, util::split_fields: fields
+// are mostly shorter than one vector block.)
 //
 // Every primitive has a scalar twin with identical semantics; the
 // vector paths only ever *prune* work using approximations that can
@@ -13,7 +14,7 @@
 // Levels (simd/dispatch.hpp):
 //   scalar -- plain byte loops, the reference.
 //   sse2   -- 16 B blocks. Loads/compares are SSE2; the nibble-table
-//             kernels additionally use SSSE3 pshufb (detection treats
+//             kernel additionally uses SSSE3 pshufb (detection treats
 //             pre-SSSE3 x86 as scalar-only, which last shipped ~2005).
 //   avx2   -- 32 B blocks.
 //   neon   -- 16 B blocks (AArch64 AdvSIMD).
@@ -40,43 +41,18 @@ inline const char* find_byte(const char* p, const char* end, unsigned char c) {
   return find_byte(active_level(), p, end, c);
 }
 
-// ---- Byte-set search (nibble-table shufti) -------------------------
+// ---- Nibble-table byte set (the root skip's one-byte literals) ----
 
-/// A byte set with an exact membership table plus the 16+16-entry
-/// nibble tables the vector kernels probe with pshufb/tbl. The nibble
-/// approximation may claim membership for bytes outside the set
-/// (collisions between nibble groups) but never misses a member; the
-/// kernels re-check `contains()` before reporting.
+/// The 16+16-entry nibble tables the vector kernels probe with
+/// pshufb/tbl for a byte set. The approximation may claim membership
+/// for bytes outside the set (collisions between nibble groups) but
+/// never misses a member; pair_find re-checks its exact bitmap before
+/// reporting.
 struct NibbleSet {
   unsigned char lo[16] = {};
   unsigned char hi[16] = {};
-  bool member[256] = {};
   bool empty = true;
-
-  bool contains(unsigned char b) const { return member[b]; }
 };
-
-/// Adds byte `b` to the set (updating the nibble tables).
-void nibble_set_add(NibbleSet& s, unsigned char b);
-
-/// Builds a set from the bytes of `bytes`.
-NibbleSet make_nibble_set(std::string_view bytes);
-
-/// First position in [p, end) whose byte IS in the set.
-const char* find_in_set(Level level, const char* p, const char* end,
-                        const NibbleSet& s);
-inline const char* find_in_set(const char* p, const char* end,
-                               const NibbleSet& s) {
-  return find_in_set(active_level(), p, end, s);
-}
-
-/// First position in [p, end) whose byte is NOT in the set.
-const char* find_not_in_set(Level level, const char* p, const char* end,
-                            const NibbleSet& s);
-inline const char* find_not_in_set(const char* p, const char* end,
-                                   const NibbleSet& s) {
-  return find_not_in_set(active_level(), p, end, s);
-}
 
 // ---- Two-byte candidate blocks (Aho-Corasick root skip) ------------
 
@@ -99,7 +75,7 @@ struct PairTables {
   unsigned char first_hi[16] = {};
   unsigned char second_lo[16] = {};
   unsigned char second_hi[16] = {};
-  NibbleSet single;  ///< one-byte literals (exact member[] re-checked)
+  NibbleSet single;  ///< one-byte literals
   bool any_pair = false;
 };
 

@@ -101,9 +101,10 @@ void StreamPipeline::ingest(const sim::SimEvent& e, std::string_view line) {
   }
 }
 
-std::uint32_t StreamPipeline::intern(const std::string& name) {
-  // Look up before inserting: emplace would build (and allocate) a node
-  // for every tagged line, known source or not.
+std::uint32_t StreamPipeline::intern(std::string_view name) {
+  // Look up the view before inserting: emplace would build (and
+  // allocate) a key and node for every tagged line, known source or
+  // not.
   const auto it = source_ids_.find(name);
   if (it != source_ids_.end()) return it->second;
   const auto id = static_cast<std::uint32_t>(source_ids_.size());
@@ -167,8 +168,8 @@ void StreamPipeline::finish() {
   study_.finish();
 }
 
-StreamSnapshot StreamPipeline::snapshot() const {
-  StreamSnapshot s = study_.snapshot();
+StreamSnapshot StreamPipeline::snapshot(SnapshotScope scope) const {
+  StreamSnapshot s = study_.snapshot(scope);
   s.year_rollovers = year_.rollovers();
   if (predict_) {
     const PredictStats ps = predict_->stats();

@@ -91,7 +91,8 @@ class StreamPipeline {
   /// result. Idempotent.
   void finish();
 
-  StreamSnapshot snapshot() const;
+  /// See StreamStudyState::snapshot for `scope`.
+  StreamSnapshot snapshot(SnapshotScope scope = SnapshotScope::kFull) const;
 
   std::uint64_t events() const { return study_.events(); }
   util::TimeUs watermark() const { return study_.watermark(); }
@@ -123,7 +124,7 @@ class StreamPipeline {
 
  private:
   void offer(const filter::Alert& a);
-  std::uint32_t intern(const std::string& name);
+  std::uint32_t intern(std::string_view name);
 
   parse::SystemId system_;
   StreamPipelineOptions opts_;
@@ -142,7 +143,7 @@ class StreamPipeline {
   // File-mode state: year inference + source-name interning, ids in
   // order of first tagged line. The intern map is O(distinct sources).
   logio::YearTracker year_;
-  std::map<std::string, std::uint32_t> source_ids_;
+  std::map<std::string, std::uint32_t, std::less<>> source_ids_;
 
   // Per-engine parse and matching scratch, reused across every
   // ingested line. Purely transient (overwritten by each line), so

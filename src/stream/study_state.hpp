@@ -53,6 +53,10 @@ struct StreamStudyOptions {
   bool collect_source_tallies = false;
 };
 
+/// What a snapshot computes: everything (the report), or all but the
+/// Table 2 compression fraction (a status line).
+enum class SnapshotScope : std::uint8_t { kFull, kStatus };
+
 /// A point-in-time view of the stream. `final` snapshots (after
 /// finish()) reproduce the batch table rows bit-for-bit.
 struct StreamSnapshot {
@@ -154,7 +158,10 @@ class StreamStudyState {
   /// afterwards reproduces the batch table rows bit-for-bit.
   void finish();
 
-  StreamSnapshot snapshot() const;
+  /// `kStatus` leaves compressed_fraction unset: computing it
+  /// compresses the whole sample whenever it has grown, and a status
+  /// line never prints it.
+  StreamSnapshot snapshot(SnapshotScope scope = SnapshotScope::kFull) const;
 
   std::uint64_t events() const { return events_; }
   util::TimeUs watermark() const { return watermark_; }

@@ -5,6 +5,7 @@
 // return type requires it.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -24,9 +25,12 @@ std::vector<std::string_view> split(std::string_view s, char sep);
 /// field predicates ($1, $2, ...).
 std::vector<std::string_view> split_fields(std::string_view s);
 
-/// Same, into a caller-owned buffer (cleared first). The tag engine's
-/// per-line hot path reuses one buffer to stay allocation-free.
-void split_fields(std::string_view s, std::vector<std::string_view>& out);
+/// Same, into a caller-owned buffer (cleared first), stopping after
+/// the first `max_fields` fields: a parser splits only the header it
+/// reads. The per-line hot paths reuse one buffer to stay
+/// allocation-free.
+void split_fields(std::string_view s, std::vector<std::string_view>& out,
+                  std::size_t max_fields = SIZE_MAX);
 
 /// True if `s` begins with `prefix`.
 bool starts_with(std::string_view s, std::string_view prefix);

@@ -26,7 +26,8 @@ struct ReadCounts {
 };
 
 /// Hands `fn` each parsed record of `path` (plain or .wsc) in file
-/// order. The record is reused: it is valid only during the call.
+/// order. The record is reused and views the mapped input, so it is
+/// valid only during the call: `fn` copies whatever it keeps.
 template <typename Fn>
 ReadCounts read_records(const std::filesystem::path& path,
                         parse::SystemId system, int start_year, Fn&& fn) {

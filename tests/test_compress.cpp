@@ -5,6 +5,7 @@
 #include "compress/codec.hpp"
 #include "compress/huffman.hpp"
 #include "compress/lzss.hpp"
+#include "sim/generator.hpp"
 #include "util/rng.hpp"
 
 namespace wss::compress {
@@ -83,6 +84,127 @@ TEST(Lzss, MultiWindowCorpusRoundTrip) {
     s += " has CHECK CONDITION, sense key = 0x3\n";
   }
   EXPECT_EQ(roundtrip_lzss(s), s);
+}
+
+/// The byte-at-a-time match finder lzss_compress started from, kept
+/// as the oracle its token stream must equal byte for byte.
+std::string reference_lzss_compress(std::string_view input) {
+  constexpr std::size_t kHashBits = 15;
+  constexpr std::size_t kMaxChainLength = 64;
+  const auto hash4 = [](const unsigned char* p) {
+    const std::uint32_t v = static_cast<std::uint32_t>(p[0]) |
+                            (static_cast<std::uint32_t>(p[1]) << 8) |
+                            (static_cast<std::uint32_t>(p[2]) << 16) |
+                            (static_cast<std::uint32_t>(p[3]) << 24);
+    return (v * 2654435761u) >> (32 - kHashBits);
+  };
+  const auto* data = reinterpret_cast<const unsigned char*>(input.data());
+  const std::size_t n = input.size();
+  std::vector<std::int64_t> head(std::size_t{1} << kHashBits, -1);
+  std::vector<std::int64_t> prev(kWindowSize, -1);
+  std::string out;
+  std::size_t flag_pos = 0;
+  int items_in_group = 8;
+  unsigned char flags = 0;
+  const auto begin_item = [&](bool is_match) {
+    if (items_in_group == 8) {
+      flag_pos = out.size();
+      out.push_back('\0');
+      flags = 0;
+      items_in_group = 0;
+    }
+    if (is_match) flags |= static_cast<unsigned char>(1u << items_in_group);
+    out[flag_pos] = static_cast<char>(flags);
+    ++items_in_group;
+  };
+  const auto insert_pos = [&](std::size_t i) {
+    if (i + kMinMatch > n) return;
+    const std::uint32_t h = hash4(data + i);
+    prev[i % kWindowSize] = head[h];
+    head[h] = static_cast<std::int64_t>(i);
+  };
+  std::size_t i = 0;
+  while (i < n) {
+    std::size_t best_len = 0;
+    std::size_t best_dist = 0;
+    if (i + kMinMatch <= n) {
+      std::int64_t cand = head[hash4(data + i)];
+      const std::size_t limit = std::min(kMaxMatch, n - i);
+      std::size_t chain = 0;
+      while (cand >= 0 && chain < kMaxChainLength) {
+        const auto c = static_cast<std::size_t>(cand);
+        if (i - c >= kWindowSize) break;
+        std::size_t len = 0;
+        while (len < limit && data[c + len] == data[i + len]) ++len;
+        if (len > best_len) {
+          best_len = len;
+          best_dist = i - c;
+          if (len == limit) break;
+        }
+        const std::int64_t next = prev[c % kWindowSize];
+        if (next >= cand) break;
+        cand = next;
+        ++chain;
+      }
+    }
+    if (best_len >= kMinMatch) {
+      begin_item(true);
+      out.push_back(static_cast<char>(best_dist & 0xff));
+      out.push_back(static_cast<char>((best_dist >> 8) & 0xff));
+      out.push_back(static_cast<char>(best_len - kMinMatch));
+      for (std::size_t k = 0; k < best_len; ++k) insert_pos(i + k);
+      i += best_len;
+    } else {
+      begin_item(false);
+      out.push_back(static_cast<char>(data[i]));
+      insert_pos(i);
+      ++i;
+    }
+  }
+  return out;
+}
+
+TEST(Lzss, TokenStreamEqualsByteLoopOracle) {
+  util::Rng rng(79);
+  std::vector<std::string> inputs = {"", "a", "abcd", "abcabcabcabcabc",
+                                     std::string(10000, 'x')};
+  // Random bytes over small and full alphabets: short, frequent
+  // matches of every length near the 8-byte compare width.
+  for (const std::uint64_t alphabet : {2u, 4u, 256u}) {
+    std::string s;
+    for (int k = 0; k < 70000; ++k) {
+      s.push_back(static_cast<char>(rng.uniform_u64(alphabet)));
+    }
+    inputs.push_back(s);
+  }
+  // Repetitive: a period of every length 1..40 and runs past kMaxMatch.
+  std::string rep;
+  for (std::size_t period = 1; period <= 40; ++period) {
+    for (std::size_t k = 0; k < 600; ++k) {
+      rep.push_back(static_cast<char>('a' + (k % period) % 26));
+    }
+  }
+  inputs.push_back(rep);
+  // Generated logs, as Table 2's compression sample sees them.
+  sim::SimOptions opts;
+  opts.category_cap = 100;
+  opts.chatter_events = 3000;
+  opts.inject_corruption = true;
+  for (const parse::SystemId id :
+       {parse::SystemId::kBlueGeneL, parse::SystemId::kLiberty}) {
+    const sim::Simulator simulator(id, opts);
+    std::string log;
+    for (std::size_t k = 0; k < simulator.events().size(); ++k) {
+      log += simulator.line(k);
+      log += '\n';
+    }
+    inputs.push_back(log);
+  }
+  for (const std::string& in : inputs) {
+    const std::string got = lzss_compress(in);
+    ASSERT_EQ(got, reference_lzss_compress(in)) << in.size() << " bytes";
+    EXPECT_EQ(lzss_decompress(got), in);
+  }
 }
 
 TEST(Huffman, RoundTripBasics) {

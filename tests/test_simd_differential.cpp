@@ -141,62 +141,20 @@ TEST(SimdDifferential, FindByteAllLevelsAllAlignments) {
   }
 }
 
-// find_in_set / find_not_in_set against sets chosen to stress the
-// nibble approximation: the whitespace set, a set with nibble
-// collisions (members sharing lo/hi nibbles with non-members), a
-// full set, a singleton.
-TEST(SimdDifferential, ByteSetScansMatchScalar) {
-  const LevelGuard guard;
-  const auto levels = vector_levels();
-  std::vector<NibbleSet> sets;
-  sets.push_back(make_nibble_set(" \t\n\r\f\v"));
-  // 'a'(0x61) in the set forces the approximation to also flag
-  // 'q'(0x71)/'1'(0x31) via hi-nibble groups -- classic collision.
-  sets.push_back(make_nibble_set("a"));
-  sets.push_back(make_nibble_set("az09\x00\xff\x10\x01"));
-  std::string everything;
-  for (int i = 0; i < 256; ++i) everything.push_back(static_cast<char>(i));
-  sets.push_back(make_nibble_set(everything));
-  sets.push_back(NibbleSet{});  // empty set
-
-  for (const std::string& corpus : corpora()) {
-    const std::size_t max_off = corpus.size() > 65536 ? 4 : 64;
-    for (std::size_t off = 0; off < max_off && off <= corpus.size(); ++off) {
-      const char* begin = corpus.data() + off;
-      const char* const end = corpus.data() + corpus.size();
-      for (const NibbleSet& s : sets) {
-        const char* ps = begin;
-        for (int walked = 0; walked < 256; ++walked) {
-          const char* ref = find_in_set(Level::kScalar, ps, end, s);
-          for (const Level l : levels) {
-            ASSERT_EQ(find_in_set(l, ps, end, s), ref) << level_name(l);
-          }
-          if (ref == end) break;
-          ps = ref + 1;
-        }
-        ps = begin;
-        for (int walked = 0; walked < 256; ++walked) {
-          const char* ref = find_not_in_set(Level::kScalar, ps, end, s);
-          for (const Level l : levels) {
-            ASSERT_EQ(find_not_in_set(l, ps, end, s), ref) << level_name(l);
-          }
-          if (ref == end) break;
-          ps = ref + 1;
-        }
-      }
-    }
-  }
-}
-
-// The nibble membership tables themselves: a byte in the set must
+// The one-byte literal nibble tables: a byte added to the set must
 // always be flagged by the approximation (overmatch allowed, under-
 // match never). Checked over all 256 byte values.
 TEST(SimdDifferential, NibbleApproximationNeverUndermatches) {
-  NibbleSet s = make_nibble_set("az09 \t\xff\x80\x7f");
+  PairTables t;
+  const std::string members = "az09 \t\xff\x80\x7f";
+  for (const char c : members) {
+    pair_tables_add_single(t, static_cast<unsigned char>(c));
+  }
+  EXPECT_FALSE(t.single.empty);
   for (int b = 0; b < 256; ++b) {
     const auto ub = static_cast<unsigned char>(b);
-    const bool approx = (s.lo[ub & 0xf] & s.hi[ub >> 4]) != 0;
-    if (s.contains(ub)) {
+    const bool approx = (t.single.lo[ub & 0xf] & t.single.hi[ub >> 4]) != 0;
+    if (members.find(static_cast<char>(ub)) != std::string::npos) {
       EXPECT_TRUE(approx) << "byte " << b << " undermatched";
     }
   }
@@ -255,7 +213,6 @@ TEST(SimdDifferential, PairFindMatchesScalarAtEveryLevel) {
 TEST(SimdDifferential, ShortRangeBandMatchesScalarAtEveryLevel) {
   const LevelGuard guard;
   const auto levels = vector_levels();
-  const NibbleSet ws = make_nibble_set(" \t\n\r\f\v");
   PairTables t;
   pair_tables_add_pair(t, 'K', 'E');
   std::vector<std::uint64_t> bitmap(1024, 0);
@@ -280,16 +237,10 @@ TEST(SimdDifferential, ShortRangeBandMatchesScalarAtEveryLevel) {
         if (pos < len) begin[pos] = '\n';
         if (pos + 1 < len) begin[pos + 1] = ' ';
         const char* ref = find_byte(Level::kScalar, begin, end, '\n');
-        const char* ref_set = find_in_set(Level::kScalar, begin, end, ws);
-        const char* ref_not = find_not_in_set(Level::kScalar, begin, end, ws);
         for (const Level l : levels) {
           ASSERT_EQ(find_byte(l, begin, end, '\n'), ref)
               << level_name(l) << " len=" << len << " off=" << off
               << " pos=" << pos;
-          ASSERT_EQ(find_in_set(l, begin, end, ws), ref_set)
-              << level_name(l) << " len=" << len << " off=" << off;
-          ASSERT_EQ(find_not_in_set(l, begin, end, ws), ref_not)
-              << level_name(l) << " len=" << len << " off=" << off;
         }
         // pair_find with the 'KE' prefix planted at `pos` (needs two
         // bytes, so cap at len-1); also covers the absent case.
@@ -310,11 +261,14 @@ TEST(SimdDifferential, ShortRangeBandMatchesScalarAtEveryLevel) {
   }
 }
 
-// split_fields must agree with a plain scalar reference at every
-// level (it is the parse layer's field scan).
-TEST(SimdDifferential, SplitFieldsMatchesScalarReference) {
-  const LevelGuard guard;
-  const auto reference = [](std::string_view s) {
+// split_fields (the parse layer's field scan, a table loop at every
+// level) against a plain awk-style oracle: the six ASCII whitespace
+// bytes separate, runs of them count once, leading and trailing runs
+// yield no empty field, and every other byte -- NUL and bytes >= 0x80
+// (0x85 NEL and 0xA0 NBSP included) -- is field text. The bounded form
+// must return exactly the oracle's first `max` fields.
+TEST(SplitFields, MatchesAwkOracleWholeAndBounded) {
+  const auto oracle = [](std::string_view s) {
     const auto is_space = [](char c) {
       return c == ' ' || c == '\t' || c == '\n' || c == '\r' || c == '\f' ||
              c == '\v';
@@ -329,13 +283,31 @@ TEST(SimdDifferential, SplitFieldsMatchesScalarReference) {
     }
     return out;
   };
-  for (const std::string& corpus : corpora()) {
-    const auto ref = reference(corpus);
-    for (const Level l : supported_levels()) {
-      ASSERT_TRUE(set_level(l));
-      std::vector<std::string_view> got;
-      util::split_fields(corpus, got);
-      ASSERT_EQ(got, ref) << level_name(l);
+  std::vector<std::string> cases = {
+      "",
+      " ",
+      " \t\n\r\f\v",
+      "a b\tc\nd\re\ff\vg",
+      "  lead",
+      "trail \t ",
+      " \v both \f ",
+      "runs  \t\t  of\n\n\r\r  space",
+      std::string("nul\0inside a\0field", 18),
+      "high\x80\xff bytes\x85" "are\xa0" "text \xc3\xa9t\xc3\xa9",
+      "x"};
+  for (std::string c : corpora()) cases.push_back(std::move(c));
+  std::vector<std::string_view> got;
+  for (const std::string& c : cases) {
+    const auto ref = oracle(c);
+    util::split_fields(c, got);
+    ASSERT_EQ(got, ref) << "case of " << c.size() << " bytes";
+    EXPECT_EQ(util::split_fields(c), ref);
+    for (std::size_t max = 0; max <= 10; ++max) {
+      util::split_fields(c, got, max);
+      const std::size_t n = std::min(max, ref.size());
+      ASSERT_EQ(got, std::vector<std::string_view>(ref.begin(),
+                                                   ref.begin() + n))
+          << "max=" << max << " case of " << c.size() << " bytes";
     }
   }
 }
