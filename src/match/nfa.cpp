@@ -8,6 +8,12 @@ Regex::Regex(std::string_view pattern, ParseOptions opts)
   compile_node(*ast);
   emit(Inst{Op::kMatch, 0, 0, CharClass{}});
   literal_ = required_literal(pattern, opts);
+  is_literal_ = !literal_.empty() && prog_.size() == literal_.size() + 1;
+  for (std::size_t i = 0; is_literal_ && i < literal_.size(); ++i) {
+    is_literal_ = prog_[i].op == Op::kClass &&
+                  prog_[i].cls.singleton() ==
+                      static_cast<unsigned char>(literal_[i]);
+  }
 }
 
 std::uint32_t Regex::emit(Inst inst) {

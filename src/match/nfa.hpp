@@ -57,6 +57,14 @@ class Regex {
   /// contain the literal, search() cannot succeed.
   const std::string& prefilter_literal() const { return literal_; }
 
+  /// True when the pattern is exactly its prefilter literal: the
+  /// program is a chain of single-byte classes spelling the literal,
+  /// then kMatch. search(text) is then "text contains the literal",
+  /// so a literal scan decides it. Never true for case-insensitive or
+  /// empty patterns (their prefilter literal is empty), nor for
+  /// anchors, \b, ., classes, alternation or repeats other than {1}.
+  bool is_literal() const { return is_literal_; }
+
   /// Number of compiled instructions (for tests and diagnostics).
   std::size_t program_size() const { return prog_.size(); }
 
@@ -75,6 +83,7 @@ class Regex {
 
   std::string pattern_;
   std::string literal_;
+  bool is_literal_ = false;
   Prog prog_;
 };
 

@@ -24,11 +24,13 @@ std::uint64_t next_engine_instance_id() {
 
 TagEngine::TagEngine(RuleSet rules)
     : rules_(std::move(rules)), instance_id_(next_engine_instance_id()) {
-  // Compile the rule plans: every whole-line term becomes a pattern of
-  // the combined set matcher; every non-negated term with a provable
+  // Compile the rule plans: every non-negated term with a provable
   // required literal contributes to the Aho–Corasick prefilter. (A
   // negated term cannot gate candidacy: its conjunct is SATISFIED when
-  // the pattern -- and hence its literal -- is absent.)
+  // the pattern -- and hence its literal -- is absent.) A whole-line
+  // term that is exactly its literal is then decided by the scan's
+  // found bit; every other whole-line term becomes a pattern of the
+  // combined set matcher.
   std::vector<std::string> literals;
   std::map<std::string, std::uint16_t> literal_ids;
   std::vector<const match::Regex*> patterns;
@@ -43,16 +45,22 @@ TagEngine::TagEngine(RuleSet rules)
       tp.field = t.field;
       tp.negated = t.negated;
       tp.re = t.re.get();
-      if (t.field == 0) {
-        tp.pid = static_cast<std::uint32_t>(patterns.size());
-        patterns.push_back(t.re.get());
-      }
       if (!t.negated && !t.re->prefilter_literal().empty()) {
         const std::string& lit = t.re->prefilter_literal();
         const auto [it, inserted] = literal_ids.emplace(
             lit, static_cast<std::uint16_t>(literals.size()));
         if (inserted) literals.push_back(lit);
         plan.lits.push_back(it->second);
+      }
+      if (t.field == 0) {
+        // is_literal() implies the literal was registered just above.
+        tp.literal = !t.negated && t.re->is_literal();
+        if (tp.literal) {
+          tp.id = plan.lits.back();
+        } else {
+          tp.id = static_cast<std::uint32_t>(patterns.size());
+          patterns.push_back(t.re.get());
+        }
       }
       plan.terms.push_back(tp);
     }
@@ -79,8 +87,8 @@ TagEngine::TagEngine(RuleSet rules)
   for (std::size_t i = 0; i < plans_.size(); ++i) {
     rule_pids_[i].assign(pid_words, 0);
     for (const TermPlan& t : plans_[i].terms) {
-      if (t.field == 0) {
-        match::bitset_set(rule_pids_[i].data(), t.pid);
+      if (t.field == 0 && !t.literal) {
+        match::bitset_set(rule_pids_[i].data(), t.id);
       }
     }
   }
@@ -159,17 +167,22 @@ std::optional<TagResult> TagEngine::tag_line(
     return std::nullopt;  // the chatter fast path
   }
 
-  // 2. One set-matching pass decides every whole-line term of every
-  //    candidate rule at once.
+  // 2. One set-matching pass decides every non-literal whole-line term
+  //    of every candidate rule at once -- skipped when the candidates'
+  //    whole-line terms are all literals the scan already decided.
   match::bitset_clear(scratch.interesting, multi_->bitset_words());
+  std::uint64_t any_pattern = 0;
   for (std::size_t i = 0; i < plans_.size(); ++i) {
     if (!match::bitset_test(candidates, i)) continue;
     const auto& mask = rule_pids_[i];
     for (std::size_t w = 0; w < mask.size(); ++w) {
       scratch.interesting[w] |= mask[w];
+      any_pattern |= mask[w];
     }
   }
-  multi_->match_all(line, scratch, scratch.interesting.data());
+  if (any_pattern != 0) {
+    multi_->match_all(line, scratch, scratch.interesting.data());
+  }
 
   // 3. First match wins, by rule index -- identical to the naive loop.
   bool fields_ready = false;
@@ -179,8 +192,10 @@ std::optional<TagResult> TagEngine::tag_line(
     bool ok = true;
     for (const TermPlan& t : plan.terms) {
       bool hit;
-      if (t.field == 0) {
-        hit = match::bitset_test(scratch.matched.data(), t.pid);
+      if (t.literal) {
+        hit = match::bitset_test(scratch.found.data(), t.id);
+      } else if (t.field == 0) {
+        hit = match::bitset_test(scratch.matched.data(), t.id);
       } else {
         if (!fields_ready) {
           util::split_fields(line, scratch.fields);

@@ -10,15 +10,19 @@
 //      (match::LiteralScanner) yields the candidate-rule set; a rule
 //      whose required literal is absent cannot match, and a chatter
 //      line typically empties the whole set right here.
-//   2. Surviving lines run ONE lazy-DFA pass of the combined automaton
-//      of all whole-line rule predicates (match::MultiRegex), which
-//      decides every candidate term at once.
+//   2. A whole-line term whose pattern is exactly its literal
+//      (match::Regex::is_literal -- nearly every expert rule) is
+//      already decided by that scan. Only when some candidate rule
+//      still has another whole-line term does the line run ONE
+//      lazy-DFA pass of the combined automaton of those terms
+//      (match::MultiRegex), which decides them all at once.
 //   3. Rules are resolved lowest-index-first (first match wins), with
 //      awk-style field terms evaluated directly on the rare candidate.
 //
 // Decisions are bit-identical to the naive per-rule loop at every
-// step -- the prefilter is a necessary-condition filter and the DFA is
-// exactly equivalent to the Pike VM -- which the golden suite and
+// step -- the prefilter is a necessary-condition filter, a literal
+// term's found bit is exactly its search(), and the DFA is exactly
+// equivalent to the Pike VM -- which the golden suite and
 // tests/test_match_multiregex_fuzz.cpp enforce; tests/test_tag_engine.cpp
 // checks the engine against a naive first-match oracle.
 #pragma once
@@ -72,9 +76,12 @@ class TagEngine {
  private:
   /// One rule term, pre-resolved for the hot path.
   struct TermPlan {
-    std::uint32_t pid = 0;  ///< pattern id in multi_ (field == 0 terms)
+    /// field == 0 terms: the literal id in literals_ when `literal`,
+    /// else the pattern id in multi_.
+    std::uint32_t id = 0;
     std::int32_t field = 0;
     bool negated = false;
+    bool literal = false;  ///< decided by the literal scan's found bit
     const match::Regex* re = nullptr;
   };
   struct RulePlan {
@@ -104,7 +111,8 @@ class TagEngine {
   std::vector<std::uint64_t> lit_masks_;
   std::size_t lit_words_ = 0;
   /// Per-rule mask over multi_ pattern ids (the "interesting" set fed
-  /// to the DFA for early exit).
+  /// to the DFA for early exit); all zero for a rule the literal scan
+  /// decides on its own.
   std::vector<std::vector<std::uint64_t>> rule_pids_;
   std::unique_ptr<match::LiteralScanner> literals_;
   std::unique_ptr<match::MultiRegex> multi_;

@@ -14,10 +14,11 @@ std::string read_file(const std::string& path);
 
 /// Replaces `path` with `bytes` atomically: a reader, or a restore
 /// after a crash mid-write, sees the old file or the new one, never a
-/// torn mix. Writes "<path>.<host>.p<pid>.<n>.tmp" -- unique per host,
-/// process and call, so writers sharing a directory over a network
-/// filesystem never meet in one tmp file -- then renames it over
-/// `path`. The directory must exist. On failure the tmp file is
+/// torn mix, also after a power cut. Writes
+/// "<path>.<host>.p<pid>.<n>.tmp" -- unique per host, process and call,
+/// so writers sharing a directory over a network filesystem never meet
+/// in one tmp file -- fsyncs it, renames it over `path` and fsyncs the
+/// directory. The directory must exist. On failure the tmp file is
 /// removed and a one-line std::runtime_error is thrown ("cannot open
 /// <tmp>", "write failed: <tmp>" or "cannot publish <path>: <why>").
 void publish_file(const std::string& path, std::string_view bytes);

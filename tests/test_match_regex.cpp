@@ -161,6 +161,26 @@ TEST(Regex, PrefilterLiteral) {
   EXPECT_EQ(Regex("(abc)?xy").prefilter_literal(), "xy");
 }
 
+TEST(Regex, IsLiteral) {
+  // Exactly its prefilter literal: the tag engine decides these terms
+  // from the literal scan alone.
+  for (const char* p : {"kernel panic", "error\\(s\\)", "z\\+",
+                        "NMI received\\. Dazed", "(ab)c", "x{1}"}) {
+    const Regex re(p);
+    EXPECT_TRUE(re.is_literal()) << p;
+    EXPECT_EQ(re.program_size(), re.prefilter_literal().size() + 1) << p;
+  }
+  EXPECT_EQ(Regex("error\\(s\\)").prefilter_literal(), "error(s)");
+  for (const char* p : {".", "a.b", "[ab]", "^x", "x$", "\\bx", "a|b", "a+",
+                        "a{3}", "ab?", ""}) {
+    EXPECT_FALSE(Regex(p).is_literal()) << p;
+  }
+  EXPECT_FALSE(Regex("panic", ParseOptions{.case_insensitive = true})
+                   .is_literal());
+  EXPECT_FALSE(Regex("123", ParseOptions{.case_insensitive = true})
+                   .is_literal());
+}
+
 TEST(Regex, PathologicalPatternIsFast) {
   // Classic backtracking killer: (a+)+b on "aaaa...a". A Pike VM runs
   // this in linear time; just assert it terminates correctly.
@@ -249,9 +269,14 @@ TEST(RegexProperty, AgreesWithNaiveMatcher) {
       text.push_back(rng.bernoulli(0.5) ? 'a' : 'b');
     }
     const bool expected = NaiveMatcher(pattern).search(text);
-    const bool actual = Regex(pattern).search(text);
+    const Regex re(pattern);
+    const bool actual = re.search(text);
     EXPECT_EQ(actual, expected)
         << "pattern=" << pattern << " text=" << text;
+    if (re.is_literal()) {
+      EXPECT_EQ(actual, text.find(re.prefilter_literal()) != std::string::npos)
+          << "pattern=" << pattern << " text=" << text;
+    }
   }
 }
 

@@ -109,6 +109,85 @@ TEST(TagEngine, NegatedFieldTerms) {
   EXPECT_FALSE(expect_agrees(engine, "x APP panic now"));
 }
 
+TEST(TagEngine, LiteralTermsDecidedByTheScan) {
+  // Literal terms are decided by the literal scan's found bit, the rest
+  // by the DFA; the mix must still resolve exactly like the oracle.
+  std::vector<Rule> rules(6);
+  rules[0].category = "LIT_BEFORE";
+  rules[0].predicate.add_term(0, "disk error on sda");
+  rules[1].category = "REGEX";
+  rules[1].predicate.add_term(0, "ecc.*corrected");
+  rules[2].category = "LIT_AND_REGEX";
+  rules[2].predicate.add_term(0, "panic\\(\\)");
+  rules[2].predicate.add_term(0, "cpu[0-9]+");
+  rules[3].category = "NEG_LIT";
+  rules[3].predicate.add_term(0, "disk error");
+  rules[3].predicate.add_term(0, "recovered", /*negated=*/true);
+  rules[4].category = "FIELD";
+  rules[4].predicate.add_term(0, "machine check");
+  rules[4].predicate.add_term(2, "KERNEL");
+  rules[5].category = "LIT_AFTER";
+  rules[5].predicate.add_term(0, "ecc");
+  const TagEngine engine(RuleSet(SystemId::kLiberty, std::move(rules)));
+  // Only ecc.*corrected, cpu[0-9]+ and the negated term reach the DFA.
+  EXPECT_EQ(engine.multi().size(), 3u);
+  const struct {
+    const char* line;
+    int want;  // expected rule index, -1 for no match
+  } cases[] = {
+      {"kernel: disk error on sda5", 0},
+      {"kernel: ecc error corrected", 1},
+      {"kernel: ecc error", 5},
+      {"kernel: corrected ecc", 5},
+      {"kernel: panic() on cpu3", 2},
+      {"kernel: panic() on cpu", -1},
+      {"kernel: panic on cpu3", -1},
+      {"kernel: disk error on hdb", 3},
+      {"kernel: disk error on hdb recovered", -1},
+      {"kernel: disk error on sda recovered", 0},
+      {"x KERNEL machine check", 4},
+      {"x APP machine check", -1},
+      {"x KERNEL machine check ecc", 4},
+      {"x APP machine check ecc corrected", 1},
+      {"", -1},
+      {"no literal here", -1},
+  };
+  match::MatchScratch scratch;
+  for (const auto& c : cases) {
+    expect_agrees(engine, c.line);
+    const auto got = engine.tag_line(c.line, scratch);
+    EXPECT_EQ(got ? static_cast<int>(got->category) : -1, c.want) << c.line;
+  }
+}
+
+TEST(TagEngine, LiteralRuleSetsNeverRunTheDfa) {
+  // Every BG/L whole-line term is a literal: the scan decides them all
+  // and the DFA never runs. Liberty's GM_PAR has a .* and still does.
+  const TagEngine bgl(build_ruleset(SystemId::kBlueGeneL));
+  EXPECT_EQ(bgl.multi().size(), 0u);
+  sim::SimOptions opts;
+  opts.category_cap = 100;
+  opts.chatter_events = 1000;
+  const sim::Simulator simulator(SystemId::kBlueGeneL, opts);
+  match::MatchScratch scratch;
+  for (std::size_t i = 0; i < simulator.events().size(); ++i) {
+    bgl.tag_line(simulator.line(i), scratch);
+  }
+  EXPECT_GT(scratch.tag_hits, 0u);
+  EXPECT_EQ(scratch.dfa_scans, 0u);
+  EXPECT_EQ(scratch.pike_fallback_scans, 0u);
+
+  const TagEngine liberty(build_ruleset(SystemId::kLiberty));
+  match::MatchScratch lscratch;
+  const auto hit = liberty.tag_line(
+      "Jun  3 10:00:00 ln1 kernel: GM: LANAI[0]: PANIC: "
+      "/usr/src/gm/firmware/gm_parity.c:115:parity_int():firmware",
+      lscratch);
+  ASSERT_TRUE(hit);
+  EXPECT_EQ(liberty.rules().rules()[hit->category].category, "GM_PAR");
+  EXPECT_GT(lscratch.dfa_scans, 0u);
+}
+
 TEST(TagEngine, AgreesWithOracleOnAllSystems) {
   // The load-bearing equivalence: the engine must agree with the oracle
   // on every rendered line of every system -- category AND type, not
@@ -141,7 +220,10 @@ std::uint64_t fold(std::uint64_t h, std::uint64_t v) {
 // byte -> class map, whose numbering follows first-byte order) and the
 // LiteralScanner's automaton -- pinned per system to the values the
 // straightforward 256-wide construction produced, together with the
-// literal-scan and tag results over a generated corpus.
+// literal-scan and tag results over a generated corpus. The DFA holds
+// only the terms a literal cannot decide: none on BG/L, Thunderbird
+// and Red Storm (2 classes, the \w split alone), GM_MAP on Spirit and
+// GM_PAR/GM_MAP on Liberty.
 TEST(TagEngineBuild, ByteClassesAndScansPinnedPerSystem) {
   struct Pin {
     SystemId system;
@@ -152,15 +234,15 @@ TEST(TagEngineBuild, ByteClassesAndScansPinnedPerSystem) {
     std::uint64_t scans;
   };
   const Pin pins[] = {
-      {SystemId::kBlueGeneL, 56, 0x8163123f2091f385ull, 56, 1353,
+      {SystemId::kBlueGeneL, 2, 0xd5537a9fcc5c1664ull, 56, 1353,
        0x3964fb394596184cull},
-      {SystemId::kThunderbird, 52, 0x1a3a1d526396e2cull, 51, 259,
+      {SystemId::kThunderbird, 2, 0xd5537a9fcc5c1664ull, 51, 259,
        0x9ee12dca7ee3885aull},
-      {SystemId::kRedStorm, 49, 0x484de230eca6cc15ull, 48, 253,
+      {SystemId::kRedStorm, 2, 0xd5537a9fcc5c1664ull, 48, 253,
        0xfa6bd5cba298f498ull},
-      {SystemId::kSpirit, 50, 0xfe3ba20de7adfcecull, 48, 190,
+      {SystemId::kSpirit, 21, 0xaac3734bff02d7f1ull, 48, 190,
        0x6df4e834c1e33ca5ull},
-      {SystemId::kLiberty, 38, 0xaf2b9d0513dfea63ull, 36, 153,
+      {SystemId::kLiberty, 23, 0x8c8cc16959783876ull, 36, 153,
        0x19b09bdba5088b97ull},
   };
   sim::SimOptions opts;
@@ -196,16 +278,19 @@ TEST(TagEngineBuild, ByteClassesAndScansPinnedPerSystem) {
 
 TEST(TagEngine, CorruptedLinesAgreeWithOracle) {
   // Corruption injection mangles sources, timestamps, and bodies --
-  // exactly the text shapes where a prefilter could diverge.
+  // exactly the text shapes where a prefilter, or a term decided by
+  // the literal scan alone, could diverge.
   sim::SimOptions opts;
   opts.category_cap = 300;
   opts.chatter_events = 2000;
   opts.inject_corruption = true;
-  const sim::Simulator simulator(SystemId::kSpirit, opts);
-  const TagEngine engine(build_ruleset(SystemId::kSpirit));
-  for (std::size_t i = 0; i < simulator.events().size(); ++i) {
-    expect_agrees(engine, simulator.line(i));
-    if (HasFailure()) return;
+  for (const auto id : parse::kAllSystems) {
+    const sim::Simulator simulator(id, opts);
+    const TagEngine engine(build_ruleset(id));
+    for (std::size_t i = 0; i < simulator.events().size(); ++i) {
+      expect_agrees(engine, simulator.line(i));
+      if (HasFailure()) return;
+    }
   }
 }
 
