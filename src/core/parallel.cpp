@@ -51,7 +51,7 @@ std::vector<PipelineResult> reduce_on_pool(
   const auto drain = [&] {
     // Worker-owned matching scratch, reused across every chunk this
     // worker claims: the steady-state tag path allocates nothing, and
-    // the lazy-DFA cache warms once per thread.
+    // the candidate-set cache warms once per thread.
     match::MatchScratch scratch;
     tag::TagMetricsFlusher flusher;
     obs::Span worker_span("pipeline_worker");

@@ -5,11 +5,8 @@
 // thread-list (Pike) virtual machine: worst-case O(|text| * |program|)
 // with zero backtracking, so hostile or degenerate log content cannot
 // blow up tagging time. Bounded repetitions are expanded at compile
-// time (bounds are capped at kMaxRepeat).
-//
-// The compiled program (match/prog.hpp) is exposed read-only so that
-// match::MultiRegex can relocate many Regex programs into one combined
-// automaton and match them all in a single pass (see multiregex.hpp).
+// time (bounds are capped at kMaxRepeat). The tag engine runs a Regex
+// only for a term its literal scan cannot decide (tag/engine.hpp).
 #pragma once
 
 #include <cstdint>
@@ -67,9 +64,6 @@ class Regex {
 
   /// Number of compiled instructions (for tests and diagnostics).
   std::size_t program_size() const { return prog_.size(); }
-
-  /// The compiled program: read-only, for MultiRegex relocation.
-  const Prog& prog() const { return prog_; }
 
  private:
   /// Core simulation. If `anchored_start`, threads start only at

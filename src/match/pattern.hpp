@@ -20,7 +20,6 @@
 //   anchors                    ^ $ \b \B
 #pragma once
 
-#include <compare>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -56,8 +55,6 @@ class CharClass {
   int singleton() const;
 
   friend bool operator==(const CharClass&, const CharClass&) = default;
-  /// An arbitrary total order (sorting deduplicates class sets).
-  friend auto operator<=>(const CharClass&, const CharClass&) = default;
 
  private:
   std::uint64_t bits_[4];

@@ -1,10 +1,6 @@
-// The compiled NFA program representation, shared by the single-pattern
-// Pike VM (nfa.hpp) and the multi-pattern set matcher (multiregex.hpp).
-//
-// A program is a flat instruction array produced by Thompson
-// construction. Both executors interpret it with identical semantics;
-// MultiRegex additionally relocates several programs into one address
-// space and repurposes kMatch.x as the pattern id.
+// The compiled NFA program representation executed by the Pike VM
+// (nfa.hpp): a flat instruction array produced by Thompson
+// construction.
 #pragma once
 
 #include <cstdint>
@@ -21,7 +17,7 @@ enum class Op : std::uint8_t {
   kBegin,  ///< zero-width: succeed only at text start
   kEnd,    ///< zero-width: succeed only at text end
   kWordB,  ///< zero-width: word boundary (x = 1 for \B)
-  kMatch,  ///< accept (x = pattern id in a combined MultiRegex program)
+  kMatch,  ///< accept
 };
 
 struct Inst {

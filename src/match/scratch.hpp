@@ -3,15 +3,14 @@
 // The tag engine runs over hundreds of millions of lines; allocating
 // thread lists, bitsets, and field arrays per line would dominate the
 // cost of matching itself. A MatchScratch owns every per-line buffer
-// the match/tag stack needs -- Pike-VM thread lists, the literal /
-// candidate / matched bitsets, the lazy awk field split, and the
-// lazy-DFA state cache -- and is reused across lines. One scratch per
-// thread; the engines themselves stay immutable and const-shareable.
+// the match/tag stack needs -- Pike-VM thread lists, the literal and
+// candidate bitsets, the lazy awk field split, and the candidate-set
+// cache -- and is reused across lines. One scratch per thread; the
+// engines themselves stay immutable and const-shareable.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <string_view>
 #include <vector>
 
@@ -45,18 +44,13 @@ struct PikeScratch {
   }
 };
 
-/// Opaque base for the per-scratch lazy-DFA state cache; the concrete
-/// type lives in multiregex.cpp.
-struct DfaCacheBase {
-  virtual ~DfaCacheBase() = default;
-};
-
 /// Memoized prefilter derivations for one TagEngine: literal-found
 /// bitset -> candidate-rule bitset. Real logs repeat a handful of
 /// literal combinations millions of times, so the per-line mask walk
 /// (rules x literal words) collapses to a short key compare on the hot
-/// combinations. Keyed by the engine's unique instance id (the
-/// dfa_owner pattern -- never an address); a different engine resets
+/// combinations. Keyed by the engine's unique instance id (never an
+/// address -- addresses can be reused after destruction, which would
+/// resurrect a stale cache); a different engine resets
 /// the cache. Capacity is a few slots with round-robin overwrite:
 /// overwrite assigns into same-sized vectors, so a warmed cache never
 /// allocates again even when distinct combinations exceed capacity.
@@ -80,21 +74,11 @@ class MatchScratch {
   PikeScratch pike;
 
   // Bitsets, one std::uint64_t word per 64 ids. Sized by the engines.
-  std::vector<std::uint64_t> found;        ///< literal ids present in line
-  std::vector<std::uint64_t> candidates;   ///< rule ids passing the prefilter
-  std::vector<std::uint64_t> interesting;  ///< pattern ids worth deciding
-  std::vector<std::uint64_t> matched;      ///< pattern ids that match the line
+  std::vector<std::uint64_t> found;       ///< literal ids present in line
+  std::vector<std::uint64_t> candidates;  ///< rule ids passing the prefilter
 
   /// Lazy awk-style field split of the current line.
   std::vector<std::string_view> fields;
-
-  /// Lazy-DFA state cache, owned here so the MultiRegex stays const and
-  /// shareable across threads. `dfa_owner` is the owning MultiRegex's
-  /// unique instance id (never an address -- addresses can be reused
-  /// after destruction, which would resurrect a stale cache); a
-  /// different owner resets it. 0 = no cache yet.
-  std::unique_ptr<DfaCacheBase> dfa;
-  std::uint64_t dfa_owner = 0;
 
   /// Prefilter memoization for the owning TagEngine (see
   /// CandidateCache).
@@ -102,19 +86,22 @@ class MatchScratch {
 
   // ---- Diagnostics (tests and the tagging bench read these; the
   // obs layer publishes them via tag::TagMetricsFlusher) ----
-  std::uint64_t dfa_scans = 0;            ///< lines decided by the lazy DFA
-  std::uint64_t pike_fallback_scans = 0;  ///< lines decided by the Pike VM
-  std::uint64_t dfa_flushes = 0;          ///< cache blowups (state evictions)
   // Per-line tag-path tallies, maintained by TagEngine::tag_line as
   // plain increments (the miss path cannot afford per-line atomics;
   // these are delta-flushed to obs counters at chunk boundaries).
-  // tag_lines and tag_hits are per-line functions of the input, so
-  // their process totals are identical at any thread count;
-  // prefilter_rejects additionally depends on the engine mode (always
-  // 0 in naive mode).
+  // Each is a per-line function of the input and the rule set, so its
+  // process total is identical at any thread count.
   std::uint64_t tag_lines = 0;          ///< lines offered to tag_line
   std::uint64_t tag_hits = 0;           ///< lines some rule tagged
   std::uint64_t prefilter_rejects = 0;  ///< lines the literal scan rejected
+  /// Lines that ran at least one whole-line regex (a term the literal
+  /// scan cannot decide); published as wss_tag_regex_scans_total. The
+  /// name is older than the Pike-only engine: wss_bench reads this
+  /// field for its tag.dfa_scan_share.
+  std::uint64_t dfa_scans = 0;
+  /// Always 0: nothing caches automaton states any more. Kept only
+  /// because wss_bench reads it for its tag.dfa_flushes value.
+  std::uint64_t dfa_flushes = 0;
 };
 
 /// Bitset helpers over the word vectors above.

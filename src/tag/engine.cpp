@@ -29,11 +29,9 @@ TagEngine::TagEngine(RuleSet rules)
   // negated term cannot gate candidacy: its conjunct is SATISFIED when
   // the pattern -- and hence its literal -- is absent.) A whole-line
   // term that is exactly its literal is then decided by the scan's
-  // found bit; every other whole-line term becomes a pattern of the
-  // combined set matcher.
+  // found bit; every other term runs its own regex in tag_line.
   std::vector<std::string> literals;
   std::map<std::string, std::uint16_t> literal_ids;
-  std::vector<const match::Regex*> patterns;
   const auto& rule_list = rules_.rules();
   plans_.reserve(rule_list.size());
   for (const Rule& rule : rule_list) {
@@ -52,22 +50,14 @@ TagEngine::TagEngine(RuleSet rules)
         if (inserted) literals.push_back(lit);
         plan.lits.push_back(it->second);
       }
-      if (t.field == 0) {
-        // is_literal() implies the literal was registered just above.
-        tp.literal = !t.negated && t.re->is_literal();
-        if (tp.literal) {
-          tp.id = plan.lits.back();
-        } else {
-          tp.id = static_cast<std::uint32_t>(patterns.size());
-          patterns.push_back(t.re.get());
-        }
-      }
+      // is_literal() implies the literal was registered just above.
+      tp.literal = t.field == 0 && !t.negated && t.re->is_literal();
+      if (tp.literal) tp.id = plan.lits.back();
       plan.terms.push_back(tp);
     }
     plans_.push_back(std::move(plan));
   }
   literals_ = std::make_unique<match::LiteralScanner>(std::move(literals));
-  multi_ = std::make_unique<match::MultiRegex>(std::move(patterns));
   for (const RulePlan& plan : plans_) {
     if (!plan.never && plan.lits.empty()) has_ungated_rule_ = true;
   }
@@ -79,17 +69,6 @@ TagEngine::TagEngine(RuleSet rules)
   for (std::size_t i = 0; i < plans_.size(); ++i) {
     for (const std::uint16_t lit : plans_[i].lits) {
       match::bitset_set(lit_masks_.data() + i * lit_words_, lit);
-    }
-  }
-
-  const std::size_t pid_words = multi_->bitset_words();
-  rule_pids_.resize(plans_.size());
-  for (std::size_t i = 0; i < plans_.size(); ++i) {
-    rule_pids_[i].assign(pid_words, 0);
-    for (const TermPlan& t : plans_[i].terms) {
-      if (t.field == 0 && !t.literal) {
-        match::bitset_set(rule_pids_[i].data(), t.id);
-      }
     }
   }
 }
@@ -167,25 +146,11 @@ std::optional<TagResult> TagEngine::tag_line(
     return std::nullopt;  // the chatter fast path
   }
 
-  // 2. One set-matching pass decides every non-literal whole-line term
-  //    of every candidate rule at once -- skipped when the candidates'
-  //    whole-line terms are all literals the scan already decided.
-  match::bitset_clear(scratch.interesting, multi_->bitset_words());
-  std::uint64_t any_pattern = 0;
-  for (std::size_t i = 0; i < plans_.size(); ++i) {
-    if (!match::bitset_test(candidates, i)) continue;
-    const auto& mask = rule_pids_[i];
-    for (std::size_t w = 0; w < mask.size(); ++w) {
-      scratch.interesting[w] |= mask[w];
-      any_pattern |= mask[w];
-    }
-  }
-  if (any_pattern != 0) {
-    multi_->match_all(line, scratch, scratch.interesting.data());
-  }
-
-  // 3. First match wins, by rule index -- identical to the naive loop.
+  // 2. First match wins, by rule index -- identical to the naive loop.
+  //    A term the literal scan cannot decide runs its own regex, and
+  //    only here: for a candidate rule whose earlier terms passed.
   bool fields_ready = false;
+  bool ran_regex = false;
   for (std::size_t i = 0; i < plans_.size(); ++i) {
     if (!match::bitset_test(candidates, i)) continue;
     const RulePlan& plan = plans_[i];
@@ -195,7 +160,9 @@ std::optional<TagResult> TagEngine::tag_line(
       if (t.literal) {
         hit = match::bitset_test(scratch.found.data(), t.id);
       } else if (t.field == 0) {
-        hit = match::bitset_test(scratch.matched.data(), t.id);
+        if (!ran_regex) ++scratch.dfa_scans;  // counts lines, not terms
+        ran_regex = true;
+        hit = t.re->search(line, scratch.pike);
       } else {
         if (!fields_ready) {
           util::split_fields(line, scratch.fields);

@@ -3,28 +3,26 @@
 // This is the automated stand-in for the paper's "combination of
 // regular expression matching and manual intervention" -- and the
 // throughput wall of the whole study: the expert rules are applied to
-// ~0.97 billion messages, so the engine matches *all* rules in one
-// pass over the line instead of probing them one by one:
+// ~0.97 billion messages, so the engine screens *all* rules in one
+// literal pass over the line instead of probing them one by one:
 //
 //   1. An Aho–Corasick scan over every rule's required literals
 //      (match::LiteralScanner) yields the candidate-rule set; a rule
 //      whose required literal is absent cannot match, and a chatter
 //      line typically empties the whole set right here.
-//   2. A whole-line term whose pattern is exactly its literal
+//   2. Candidate rules are resolved lowest-index-first (first match
+//      wins). A whole-line term whose pattern is exactly its literal
 //      (match::Regex::is_literal -- nearly every expert rule) is
-//      already decided by that scan. Only when some candidate rule
-//      still has another whole-line term does the line run ONE
-//      lazy-DFA pass of the combined automaton of those terms
-//      (match::MultiRegex), which decides them all at once.
-//   3. Rules are resolved lowest-index-first (first match wins), with
-//      awk-style field terms evaluated directly on the rare candidate.
+//      already decided by that scan's found bit; any other term -- a
+//      whole-line regex such as `gm_parity\.c:.*parity_int`, or an
+//      awk-style field term -- runs its own Pike VM on the rare
+//      candidate, only once the rule's earlier terms have passed.
 //
-// Decisions are bit-identical to the naive per-rule loop at every
-// step -- the prefilter is a necessary-condition filter, a literal
-// term's found bit is exactly its search(), and the DFA is exactly
-// equivalent to the Pike VM -- which the golden suite and
-// tests/test_match_multiregex_fuzz.cpp enforce; tests/test_tag_engine.cpp
-// checks the engine against a naive first-match oracle.
+// Decisions are bit-identical to the naive per-rule loop -- the
+// prefilter is a necessary-condition filter and a literal term's found
+// bit is exactly its search() -- which the golden suite enforces;
+// tests/test_tag_engine.cpp checks the engine against a naive
+// first-match oracle on every system and on random rule sets.
 #pragma once
 
 #include <memory>
@@ -33,7 +31,6 @@
 #include <vector>
 
 #include "match/literal_scanner.hpp"
-#include "match/multiregex.hpp"
 #include "match/scratch.hpp"
 #include "parse/record.hpp"
 #include "tag/rule.hpp"
@@ -71,13 +68,11 @@ class TagEngine {
 
   // ---- Diagnostics (tests and the bench) ----
   const match::LiteralScanner& literal_scanner() const { return *literals_; }
-  const match::MultiRegex& multi() const { return *multi_; }
 
  private:
   /// One rule term, pre-resolved for the hot path.
   struct TermPlan {
-    /// field == 0 terms: the literal id in literals_ when `literal`,
-    /// else the pattern id in multi_.
+    /// The literal id in literals_ when `literal`; unused otherwise.
     std::uint32_t id = 0;
     std::int32_t field = 0;
     bool negated = false;
@@ -99,8 +94,8 @@ class TagEngine {
                                      bool& any_candidate) const;
 
   RuleSet rules_;
-  /// Unique per-engine id guarding scratch-resident caches (the
-  /// dfa_owner pattern; an address could be reused after destruction).
+  /// Unique per-engine id guarding the scratch's CandidateCache (an
+  /// address could be reused after destruction).
   std::uint64_t instance_id_ = 0;
   std::vector<RulePlan> plans_;
   /// True if some rule has no provable literal (it is always a
@@ -110,12 +105,7 @@ class TagEngine {
   /// lit_masks_[i * lit_words_ ..): candidate iff found ⊇ mask.
   std::vector<std::uint64_t> lit_masks_;
   std::size_t lit_words_ = 0;
-  /// Per-rule mask over multi_ pattern ids (the "interesting" set fed
-  /// to the DFA for early exit); all zero for a rule the literal scan
-  /// decides on its own.
-  std::vector<std::vector<std::uint64_t>> rule_pids_;
   std::unique_ptr<match::LiteralScanner> literals_;
-  std::unique_ptr<match::MultiRegex> multi_;
 };
 
 }  // namespace wss::tag

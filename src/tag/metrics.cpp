@@ -7,18 +7,13 @@ TagMetricsFlusher::TagMetricsFlusher()
       hits_(&obs::registry().counter("wss_tag_hits_total")),
       prefilter_rejects_(
           &obs::registry().counter("wss_tag_prefilter_rejects_total")),
-      dfa_scans_(&obs::registry().counter("wss_tag_dfa_scans_total")),
-      pike_fallbacks_(
-          &obs::registry().counter("wss_tag_pike_fallbacks_total")),
-      dfa_flushes_(&obs::registry().counter("wss_tag_dfa_flushes_total")) {}
+      regex_scans_(&obs::registry().counter("wss_tag_regex_scans_total")) {}
 
 void TagMetricsFlusher::flush(const match::MatchScratch& s) {
   lines_->inc(s.tag_lines - last_lines_);
   hits_->inc(s.tag_hits - last_hits_);
   prefilter_rejects_->inc(s.prefilter_rejects - last_prefilter_rejects_);
-  dfa_scans_->inc(s.dfa_scans - last_dfa_scans_);
-  pike_fallbacks_->inc(s.pike_fallback_scans - last_pike_fallbacks_);
-  dfa_flushes_->inc(s.dfa_flushes - last_dfa_flushes_);
+  regex_scans_->inc(s.dfa_scans - last_regex_scans_);
   rebase(s);
 }
 
@@ -26,9 +21,7 @@ void TagMetricsFlusher::rebase(const match::MatchScratch& s) {
   last_lines_ = s.tag_lines;
   last_hits_ = s.tag_hits;
   last_prefilter_rejects_ = s.prefilter_rejects;
-  last_dfa_scans_ = s.dfa_scans;
-  last_pike_fallbacks_ = s.pike_fallback_scans;
-  last_dfa_flushes_ = s.dfa_flushes;
+  last_regex_scans_ = s.dfa_scans;
 }
 
 }  // namespace wss::tag

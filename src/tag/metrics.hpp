@@ -24,7 +24,7 @@ class TagMetricsFlusher {
   TagMetricsFlusher();
 
   /// Publishes scratch-tally growth since the last flush to the
-  /// wss_tag_* counters. O(6 counter adds); call per chunk, not per
+  /// wss_tag_* counters. O(4 counter adds); call per chunk, not per
   /// line. Allocation-free (handles are bound at construction).
   void flush(const match::MatchScratch& s);
 
@@ -37,16 +37,12 @@ class TagMetricsFlusher {
   obs::Counter* lines_;
   obs::Counter* hits_;
   obs::Counter* prefilter_rejects_;
-  obs::Counter* dfa_scans_;
-  obs::Counter* pike_fallbacks_;
-  obs::Counter* dfa_flushes_;
+  obs::Counter* regex_scans_;
 
   std::uint64_t last_lines_ = 0;
   std::uint64_t last_hits_ = 0;
   std::uint64_t last_prefilter_rejects_ = 0;
-  std::uint64_t last_dfa_scans_ = 0;
-  std::uint64_t last_pike_fallbacks_ = 0;
-  std::uint64_t last_dfa_flushes_ = 0;
+  std::uint64_t last_regex_scans_ = 0;
 };
 
 }  // namespace wss::tag

@@ -20,23 +20,6 @@ namespace {
 using CounterTable = std::vector<std::pair<std::string, std::uint64_t>>;
 using GaugeTable = std::vector<std::pair<std::string, std::int64_t>>;
 
-/// The lazy-DFA cache counters measure engine-lifetime cache behavior;
-/// a restored engine starts with a cold cache, so they are outside the
-/// checkpoint-equality contract (everything else is inside it).
-bool cache_state_dependent(const std::string& name) {
-  return name == "wss_tag_dfa_scans_total" ||
-         name == "wss_tag_pike_fallbacks_total" ||
-         name == "wss_tag_dfa_flushes_total";
-}
-
-CounterTable comparable_counters() {
-  CounterTable out;
-  for (auto& kv : obs::registry().counter_values()) {
-    if (!cache_state_dependent(kv.first)) out.push_back(std::move(kv));
-  }
-  return out;
-}
-
 sim::SimOptions small_sim() {
   sim::SimOptions opts;
   opts.category_cap = 500;
@@ -66,7 +49,7 @@ TEST(ObsCheckpoint, RestoreAndFinishReportsIdenticalMetrics) {
     uninterrupted.ingest(events[i], simulator.renderer().render(events[i], i));
   }
   uninterrupted.finish();
-  const CounterTable full_counters = comparable_counters();
+  const CounterTable full_counters = obs::registry().counter_values();
   const GaugeTable full_gauges = obs::registry().gauge_values();
 
   // Sanity: the reference run actually counted.
@@ -95,7 +78,7 @@ TEST(ObsCheckpoint, RestoreAndFinishReportsIdenticalMetrics) {
     resumed.ingest(events[i], simulator.renderer().render(events[i], i));
   }
   resumed.finish();
-  const CounterTable resumed_counters = comparable_counters();
+  const CounterTable resumed_counters = obs::registry().counter_values();
   const GaugeTable resumed_gauges = obs::registry().gauge_values();
 
   ASSERT_EQ(resumed_counters.size(), full_counters.size());

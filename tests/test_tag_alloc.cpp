@@ -1,6 +1,8 @@
 // Steady-state allocation contract of the tag path: after a warm-up
-// pass (scratch buffers sized, lazy-DFA cache populated), tagging a
-// line allocates NOTHING. The pipeline calls
+// pass (scratch buffers sized, candidate-set cache populated), tagging
+// a line allocates NOTHING -- on BG/L, whose rules the literal scan
+// decides alone, and on Spirit and Liberty, whose `.*` terms run the
+// Pike VM. The pipeline calls
 // tag_line hundreds of millions of times; a single per-line allocation
 // is the difference between memory-bandwidth-bound and
 // allocator-bound.
@@ -28,12 +30,12 @@
 namespace wss::tag {
 namespace {
 
-std::vector<std::string> corpus() {
+std::vector<std::string> corpus(parse::SystemId system) {
   sim::SimOptions opts;
   opts.category_cap = 500;
   opts.chatter_events = 5000;
   opts.inject_corruption = false;
-  const sim::Simulator simulator(parse::SystemId::kBlueGeneL, opts);
+  const sim::Simulator simulator(system, opts);
   std::vector<std::string> lines;
   lines.reserve(simulator.events().size());
   for (std::size_t i = 0; i < simulator.events().size(); ++i) {
@@ -52,19 +54,27 @@ std::size_t tag_pass(const TagEngine& engine,
   return hits;
 }
 
-TEST(TagAllocTest, SteadyStateTaggingAllocatesNothing) {
-  const std::vector<std::string> lines = corpus();
+class TagAllocTest : public testing::TestWithParam<parse::SystemId> {};
+
+TEST_P(TagAllocTest, SteadyStateTaggingAllocatesNothing) {
+  const parse::SystemId system = GetParam();
+  const std::vector<std::string> lines = corpus(system);
   ASSERT_FALSE(lines.empty());
-  const TagEngine engine(build_ruleset(parse::SystemId::kBlueGeneL));
+  const TagEngine engine(build_ruleset(system));
   match::MatchScratch scratch;
   // The metrics flusher rides the same hot loop in production; it must
   // hold the zero-allocation bar too (handles bind at construction).
   TagMetricsFlusher flusher;
 
-  // Warm-up: grows every scratch buffer to its high-water mark and
-  // builds every DFA state this corpus ever visits.
+  // Warm-up: grows every scratch buffer (Pike-VM thread lists
+  // included) to its high-water mark.
   const std::size_t hits = tag_pass(engine, lines, scratch);
   flusher.flush(scratch);
+  // Spirit's GM_MAP and Liberty's GM_PAR/GM_MAP are `.*` terms: the
+  // measured pass must run them, not only the literal scan.
+  if (system != parse::SystemId::kBlueGeneL) {
+    EXPECT_GT(scratch.dfa_scans, 0u);
+  }
 
   const std::uint64_t before = testing_util::allocations();
   const std::size_t hits_again = tag_pass(engine, lines, scratch);
@@ -78,16 +88,24 @@ TEST(TagAllocTest, SteadyStateTaggingAllocatesNothing) {
       << " steady-state lines";
 }
 
+INSTANTIATE_TEST_SUITE_P(
+    Systems, TagAllocTest,
+    testing::Values(parse::SystemId::kBlueGeneL, parse::SystemId::kSpirit,
+                    parse::SystemId::kLiberty),
+    [](const testing::TestParamInfo<parse::SystemId>& info) {
+      return std::string(parse::system_short_name(info.param));
+    });
+
 // End-to-end miss-path contract: read (mmap) -> split -> parse ->
 // tag, the whole chain, allocates nothing per line in steady state.
 // Direct before/after counting cannot separate warm-up (string
-// capacities, scratch vectors, lazy-DFA states grow DURING the first
-// pass), so the pin is differential: a file with the corpus once and
+// capacities and scratch vectors grow DURING the first pass), so the
+// pin is differential: a file with the corpus once and
 // a file with it twice incur IDENTICAL allocation counts -- every
 // allocation is per-pass setup or high-water growth, and the extra
 // N lines of the doubled file add exactly zero.
 TEST(TagAllocEndToEnd, DoubledCorpusAddsZeroAllocations) {
-  const std::vector<std::string> lines = corpus();
+  const std::vector<std::string> lines = corpus(parse::SystemId::kBlueGeneL);
   std::string text;
   for (const auto& line : lines) {
     text += line;
@@ -120,8 +138,8 @@ TEST(TagAllocEndToEnd, DoubledCorpusAddsZeroAllocations) {
     return {after - before, hits};
   };
 
-  // Prime the engine's lazy caches (DFA states are engine-owned, not
-  // per-pass) so both measured passes see the same engine state.
+  // Prime one pass first so both measured passes see the same
+  // process state (first-touch allocations happen here).
   pass(once);
 
   const auto [allocs_once, hits_once] = pass(once);

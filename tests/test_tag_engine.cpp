@@ -6,6 +6,7 @@
 #include "tag/evaluate.hpp"
 #include "tag/rulesets.hpp"
 #include "tag/severity_tagger.hpp"
+#include "util/rng.hpp"
 
 namespace wss::tag {
 namespace {
@@ -13,7 +14,8 @@ namespace {
 using parse::SystemId;
 
 /// The oracle: probe every rule's predicate in order, first match wins.
-/// The engine's prefilter and set-matching DFA must reproduce it exactly.
+/// The engine's prefilter and literal-decided terms must reproduce it
+/// exactly.
 std::optional<TagResult> oracle_tag(const RuleSet& rs, std::string_view line) {
   thread_local match::MatchScratch scratch;
   const auto& rules = rs.rules();
@@ -99,7 +101,7 @@ TEST(TagEngine, NegatedTermsDoNotGateCandidacy) {
 }
 
 TEST(TagEngine, NegatedFieldTerms) {
-  // Field terms ride the direct evaluation path, past the DFA.
+  // Field terms run their own regex on the awk field split.
   std::vector<Rule> rules(1);
   rules[0].category = "FIELDNEG";
   rules[0].predicate.add_term(0, "panic");
@@ -111,7 +113,8 @@ TEST(TagEngine, NegatedFieldTerms) {
 
 TEST(TagEngine, LiteralTermsDecidedByTheScan) {
   // Literal terms are decided by the literal scan's found bit, the rest
-  // by the DFA; the mix must still resolve exactly like the oracle.
+  // by their own regex; the mix must still resolve exactly like the
+  // oracle.
   std::vector<Rule> rules(6);
   rules[0].category = "LIT_BEFORE";
   rules[0].predicate.add_term(0, "disk error on sda");
@@ -129,8 +132,6 @@ TEST(TagEngine, LiteralTermsDecidedByTheScan) {
   rules[5].category = "LIT_AFTER";
   rules[5].predicate.add_term(0, "ecc");
   const TagEngine engine(RuleSet(SystemId::kLiberty, std::move(rules)));
-  // Only ecc.*corrected, cpu[0-9]+ and the negated term reach the DFA.
-  EXPECT_EQ(engine.multi().size(), 3u);
   const struct {
     const char* line;
     int want;  // expected rule index, -1 for no match
@@ -158,13 +159,20 @@ TEST(TagEngine, LiteralTermsDecidedByTheScan) {
     const auto got = engine.tag_line(c.line, scratch);
     EXPECT_EQ(got ? static_cast<int>(got->category) : -1, c.want) << c.line;
   }
+
+  // A regex runs only for a candidate rule no earlier rule beat: rule 0
+  // decides this line from the scan alone, before rule 1's .* term.
+  match::MatchScratch lazy;
+  engine.tag_line("kernel: disk error on sda5 ecc corrected", lazy);
+  EXPECT_EQ(lazy.dfa_scans, 0u);
+  engine.tag_line("kernel: ecc error corrected", lazy);
+  EXPECT_EQ(lazy.dfa_scans, 1u);
 }
 
-TEST(TagEngine, LiteralRuleSetsNeverRunTheDfa) {
+TEST(TagEngine, LiteralRuleSetsNeverRunARegex) {
   // Every BG/L whole-line term is a literal: the scan decides them all
-  // and the DFA never runs. Liberty's GM_PAR has a .* and still does.
+  // and no regex runs. Liberty's GM_PAR has a .* and still runs one.
   const TagEngine bgl(build_ruleset(SystemId::kBlueGeneL));
-  EXPECT_EQ(bgl.multi().size(), 0u);
   sim::SimOptions opts;
   opts.category_cap = 100;
   opts.chatter_events = 1000;
@@ -175,7 +183,6 @@ TEST(TagEngine, LiteralRuleSetsNeverRunTheDfa) {
   }
   EXPECT_GT(scratch.tag_hits, 0u);
   EXPECT_EQ(scratch.dfa_scans, 0u);
-  EXPECT_EQ(scratch.pike_fallback_scans, 0u);
 
   const TagEngine liberty(build_ruleset(SystemId::kLiberty));
   match::MatchScratch lscratch;
@@ -185,7 +192,7 @@ TEST(TagEngine, LiteralRuleSetsNeverRunTheDfa) {
       lscratch);
   ASSERT_TRUE(hit);
   EXPECT_EQ(liberty.rules().rules()[hit->category].category, "GM_PAR");
-  EXPECT_GT(lscratch.dfa_scans, 0u);
+  EXPECT_EQ(lscratch.dfa_scans, 1u);
 }
 
 TEST(TagEngine, AgreesWithOracleOnAllSystems) {
@@ -216,34 +223,23 @@ std::uint64_t fold(std::uint64_t h, std::uint64_t v) {
   return h;
 }
 
-// The engine's build -- MultiRegex's byte classes (count and the
-// byte -> class map, whose numbering follows first-byte order) and the
-// LiteralScanner's automaton -- pinned per system to the values the
-// straightforward 256-wide construction produced, together with the
-// literal-scan and tag results over a generated corpus. The DFA holds
-// only the terms a literal cannot decide: none on BG/L, Thunderbird
-// and Red Storm (2 classes, the \w split alone), GM_MAP on Spirit and
-// GM_PAR/GM_MAP on Liberty.
+// The engine's build -- the LiteralScanner's automaton (byte classes
+// and states) -- pinned per system to the values the straightforward
+// 256-wide construction produced, together with the literal-scan and
+// tag results over a generated corpus.
 TEST(TagEngineBuild, ByteClassesAndScansPinnedPerSystem) {
   struct Pin {
     SystemId system;
-    std::size_t dfa_classes;
-    std::uint64_t dfa_class_map;
     std::size_t literal_classes;
     std::size_t literal_states;
     std::uint64_t scans;
   };
   const Pin pins[] = {
-      {SystemId::kBlueGeneL, 2, 0xd5537a9fcc5c1664ull, 56, 1353,
-       0x3964fb394596184cull},
-      {SystemId::kThunderbird, 2, 0xd5537a9fcc5c1664ull, 51, 259,
-       0x9ee12dca7ee3885aull},
-      {SystemId::kRedStorm, 2, 0xd5537a9fcc5c1664ull, 48, 253,
-       0xfa6bd5cba298f498ull},
-      {SystemId::kSpirit, 21, 0xaac3734bff02d7f1ull, 48, 190,
-       0x6df4e834c1e33ca5ull},
-      {SystemId::kLiberty, 23, 0x8c8cc16959783876ull, 36, 153,
-       0x19b09bdba5088b97ull},
+      {SystemId::kBlueGeneL, 56, 1353, 0x3964fb394596184cull},
+      {SystemId::kThunderbird, 51, 259, 0x9ee12dca7ee3885aull},
+      {SystemId::kRedStorm, 48, 253, 0xfa6bd5cba298f498ull},
+      {SystemId::kSpirit, 48, 190, 0x6df4e834c1e33ca5ull},
+      {SystemId::kLiberty, 36, 153, 0x19b09bdba5088b97ull},
   };
   sim::SimOptions opts;
   opts.category_cap = 100;
@@ -251,11 +247,6 @@ TEST(TagEngineBuild, ByteClassesAndScansPinnedPerSystem) {
   opts.inject_corruption = true;
   for (const Pin& pin : pins) {
     const TagEngine engine(build_ruleset(pin.system));
-    std::uint64_t class_map = 14695981039346656037ull;
-    for (int b = 0; b < 256; ++b) {
-      class_map = fold(class_map,
-                       engine.multi().byte_class(static_cast<unsigned char>(b)));
-    }
     const match::LiteralScanner& lits = engine.literal_scanner();
     const sim::Simulator simulator(pin.system, opts);
     std::vector<std::uint64_t> found;
@@ -268,8 +259,6 @@ TEST(TagEngineBuild, ByteClassesAndScansPinnedPerSystem) {
       const auto tagged = engine.tag_line(line, scratch);
       scans = fold(scans, tagged ? tagged->category + 1u : 0u);
     }
-    EXPECT_EQ(engine.multi().byte_classes(), pin.dfa_classes);
-    EXPECT_EQ(class_map, pin.dfa_class_map);
     EXPECT_EQ(lits.byte_classes(), pin.literal_classes);
     EXPECT_EQ(lits.states(), pin.literal_states);
     EXPECT_EQ(scans, pin.scans) << parse::system_name(pin.system);
@@ -292,6 +281,83 @@ TEST(TagEngine, CorruptedLinesAgreeWithOracle) {
       if (HasFailure()) return;
     }
   }
+}
+
+// Short literals shared by the random rule sets and lines below, so
+// that most lines keep some candidate past the prefilter.
+constexpr const char* kWords[] = {"disk", "err", "ecc", "cpu", "gm", "ok"};
+
+const char* random_word(util::Rng& rng) {
+  return kWords[rng.uniform_u64(std::size(kWords))];
+}
+
+/// One rule term's pattern: a literal, `L1.*L2`, an anchored literal,
+/// a `\b`-delimited literal, or a literal next to a character class.
+std::string random_term_pattern(util::Rng& rng) {
+  const std::string a = random_word(rng);
+  const std::string b = random_word(rng);
+  switch (rng.uniform_u64(7)) {
+    case 0:
+    case 1: return a;
+    case 2: return a + ".*" + b;
+    case 3: return "^" + a;
+    case 4: return a + "$";
+    case 5: return "\\b" + a + "\\b";
+    default: return rng.uniform_u64(2) ? a + "[0-9]+" : "[a-z]+" + a;
+  }
+}
+
+RuleSet random_ruleset(util::Rng& rng) {
+  std::vector<Rule> rules(1 + rng.uniform_u64(10));
+  for (std::size_t i = 0; i < rules.size(); ++i) {
+    rules[i].category = "R" + std::to_string(i);
+    rules[i].type = static_cast<filter::AlertType>(rng.uniform_u64(3));
+    const std::size_t terms = 1 + rng.uniform_u64(3);
+    for (std::size_t t = 0; t < terms; ++t) {
+      const int field =
+          rng.uniform_u64(4) == 0 ? static_cast<int>(1 + rng.uniform_u64(3))
+                                  : 0;
+      const bool negated = rng.uniform_u64(5) == 0;
+      match::ParseOptions popts;
+      popts.case_insensitive = rng.uniform_u64(10) == 0;
+      rules[i].predicate.add_term(field, random_term_pattern(rng), negated,
+                                  popts);
+    }
+  }
+  return RuleSet(SystemId::kLiberty, std::move(rules));
+}
+
+/// A line of up to six tokens -- rule words, digits, an upper-cased
+/// word -- joined by a space, a colon or nothing (which moves `\b`).
+std::string random_line(util::Rng& rng) {
+  static constexpr const char* kSeparators[] = {" ", " ", ":", ""};
+  std::string line;
+  const std::size_t tokens = rng.uniform_u64(7);
+  for (std::size_t i = 0; i < tokens; ++i) {
+    if (i > 0) line += kSeparators[rng.uniform_u64(std::size(kSeparators))];
+    switch (rng.uniform_u64(6)) {
+      case 0: line += std::to_string(rng.uniform_u64(100)); break;
+      case 1: line += "ECC"; break;
+      default: line += random_word(rng);
+    }
+  }
+  return line;
+}
+
+TEST(TagEngine, RandomRuleSetsAgreeWithOracle) {
+  // Seeded random rule sets mixing literal, .*, anchored, \b and class
+  // terms, negated and $N field terms, against lines built from the
+  // same words: first match wins must hold on every pair.
+  util::Rng rng(20070625);
+  std::size_t hits = 0;
+  for (int set = 0; set < 300; ++set) {
+    const TagEngine engine(random_ruleset(rng));
+    for (int i = 0; i < 100; ++i) {
+      if (expect_agrees(engine, random_line(rng))) ++hits;
+      if (HasFailure()) return;
+    }
+  }
+  EXPECT_GT(hits, 1000u);
 }
 
 TEST(SeverityTagger, BglBaseline) {
