@@ -1,5 +1,6 @@
 #include "cli/commands.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdlib>
@@ -24,6 +25,7 @@
 #include "logio/writer.hpp"
 #include "simd/split.hpp"
 #include "net/client.hpp"
+#include "net/framing.hpp"
 #include "net/server.hpp"
 #include "net/signal.hpp"
 #include "net/url.hpp"
@@ -166,6 +168,43 @@ class SignalDrain {
 
   bool stopped() const { return net::ShutdownSignal::stop_requested(); }
 };
+
+/// Reads `reader` to its end through `decoder` and calls on_line(line)
+/// for each line it cuts, the unterminated tail last. Each read() lands
+/// in the decoder's buffer, so resident input is one bounded buffer and
+/// a live pipe is consumed as it is written. on_line returns false to
+/// stop; `stopped()` is tested before every read, not only before
+/// every line, so a drain signal that lands while the last line of a
+/// read is handled does not leave the caller blocked on an idle pipe
+/// (a signal during the read() itself interrupts it). Returns true when
+/// the input ended, false when stopped.
+template <typename Stop, typename OnLine>
+bool read_lines(logio::ChunkReader& reader, net::FrameDecoder& decoder,
+                Stop&& stopped, OnLine&& on_line) {
+  decoder.write_window(logio::kReadChunk);  // one read's worth up front
+  for (;;) {
+    if (stopped()) return false;
+    // A quarter read is the least room asked for: a line cut by the
+    // last read is compacted to the front rather than doubling the
+    // buffer, and the read then fills the room there is, up to a read.
+    char* dst = decoder.write_window(logio::kReadChunk / 4);
+    std::size_t got = 0;
+    if (!reader.read_into(dst, std::min(decoder.room(), logio::kReadChunk),
+                          got)) {
+      std::string_view tail;
+      return !decoder.finish_view(tail) || on_line(tail);
+    }
+    decoder.commit(got);
+    if (!decoder.for_each_frame(on_line)) return false;
+  }
+}
+
+/// The stderr note for lines longer than logio::kMaxLine.
+std::string oversized_note(const char* cmd, std::uint64_t lines) {
+  return util::format("%s: skipped %llu line(s) longer than %zu bytes\n",
+                      cmd, static_cast<unsigned long long>(lines),
+                      logio::kMaxLine);
+}
 
 /// Splits a comma-separated multi-value flag ("9000:a,9001:b").
 std::vector<std::string> split_commas(const std::string& s) {
@@ -464,9 +503,10 @@ int cmd_anonymize(const Args& args, std::ostream& out, std::ostream& err) {
   if (!parse_metrics_flag(args, err, metrics)) return 2;
   if (reject_unused(args, err)) return 2;
 
-  // One pass: the reader yields the input one read() at a time, so
-  // memory stays one read buffer however large the log.
+  // One pass through a bounded line decoder: memory stays one buffer
+  // however large the log.
   std::size_t lines = 0;
+  std::uint64_t oversized = 0;
   try {
     logio::ChunkReader reader = logio::ChunkReader::open(*in_path);
     std::ofstream os(*out_path, std::ios::binary);
@@ -474,18 +514,19 @@ int cmd_anonymize(const Args& args, std::ostream& out, std::ostream& err) {
       err << "anonymize: cannot open " << *out_path << "\n";
       return 1;
     }
-    simd::ChunkSplitter splitter;
-    const auto on_line = [&](std::string_view line) {
-      os << anon.anonymize(line) << '\n';
-      ++lines;
-    };
-    std::string_view chunk;
-    while (reader.next(chunk)) splitter.feed(chunk, on_line);
-    splitter.finish(on_line);
+    net::FrameDecoder decoder(net::Framing::kNewline, logio::kMaxLine);
+    read_lines(reader, decoder, [] { return false; },
+               [&](std::string_view line) {
+                 os << anon.anonymize(line) << '\n';
+                 ++lines;
+                 return true;
+               });
+    oversized = decoder.oversized();
   } catch (const std::exception& e) {
     err << "anonymize: " << e.what() << "\n";
     return 1;
   }
+  if (oversized > 0) err << oversized_note("anonymize", oversized);
   out << util::format("anonymized %zu lines -> %s\n", lines,
                       out_path->c_str());
   return write_metrics(metrics, "anonymize", err);
@@ -730,47 +771,47 @@ int cmd_stream(const Args& args, std::ostream& out, std::ostream& err) {
       // signal -- the run is paused, not finished.
       truncated = resume + ingested < total;
     } else {
-      // File source: line-delimited log, optionally stdin ("-"). The
-      // reader yields the input one read() at a time and the splitter
-      // hands each line to the engine on this thread as soon as it is
-      // complete: resident input stays one read buffer, a live pipe is
-      // ingested as it is written, and no line is ever dropped. A line
-      // is a view into the buffer (or the splitter's arena when it
-      // straddles two reads), valid only for its ingest_line call.
+      // File source: line-delimited log, optionally stdin ("-"). Each
+      // line goes to the engine on this thread as soon as the decoder
+      // cuts it; it is a view into the decoder's buffer, valid only for
+      // its ingest_line call. No line is dropped unless it is longer
+      // than logio::kMaxLine, and those are counted.
       logio::ChunkReader reader = *in_path == "-"
                                       ? logio::ChunkReader::from_fd(0)
                                       : logio::ChunkReader::open(*in_path);
-      simd::ChunkSplitter splitter;
-      std::uint64_t index = 0;
-      bool stop = false;
+      net::FrameDecoder decoder(net::Framing::kNewline, logio::kMaxLine);
+      std::uint64_t skip = resume;
+      // An oversized line is counted by the run that reaches the line
+      // after it. Lines the resume skip passes were reached by the run
+      // that saved the checkpoint, which restored its count.
+      std::uint64_t over_skipped = 0;
+      std::uint64_t over_reached = 0;
       const auto on_line = [&](std::string_view line) {
-        if (stop || index++ < resume) return;  // checkpoint resume skip
+        if (skip > 0) {  // checkpoint resume skip
+          --skip;
+          over_skipped = over_reached = decoder.oversized();
+          return true;
+        }
         // Limits are tested before the next line: a run that stops at
         // the input's end is complete, not truncated.
         if (drain.stopped() ||
             (max_events > 0 &&
              ingested >= static_cast<std::uint64_t>(max_events))) {
-          truncated = stop = true;
-          return;
+          return false;
         }
+        over_reached = decoder.oversized();
         pipeline.ingest_line(line);
         ++ingested;
         tick();
+        return true;
       };
-      std::string_view chunk;
-      while (!stop) {
-        // Tested before every read, not only before every line: a
-        // drain signal that lands while the last line of a read is
-        // ingested must not leave the run blocked on an idle pipe. A
-        // signal during the read() itself interrupts it (empty chunk).
-        if (drain.stopped()) {
-          truncated = stop = true;
-        } else if (reader.next(chunk)) {
-          splitter.feed(chunk, on_line);
-        } else {
-          splitter.finish(on_line);
-          break;
-        }
+      truncated = !read_lines(
+          reader, decoder, [&drain] { return drain.stopped(); }, on_line);
+      if (!truncated) over_reached = decoder.oversized();
+      if (over_reached > over_skipped) {
+        const std::uint64_t over = over_reached - over_skipped;
+        obs::registry().counter("wss_stream_oversized_total").inc(over);
+        err << oversized_note("stream", over);
       }
     }
   } catch (const std::exception& e) {

@@ -5,8 +5,10 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <memory>
 #include <stdexcept>
 #include <utility>
 
@@ -26,8 +28,11 @@ namespace {
 std::string drain_fd(int fd) {
   std::string out;
   ChunkReader reader = ChunkReader::from_fd(fd);
-  std::string_view chunk;
-  while (reader.next(chunk)) out.append(chunk);
+  const std::unique_ptr<char[]> buf(new char[kReadChunk]);
+  std::size_t got = 0;
+  while (reader.read_into(buf.get(), kReadChunk, got)) {
+    out.append(buf.get(), got);
+  }
   return out;
 }
 
@@ -127,29 +132,28 @@ ChunkReader::~ChunkReader() {
   if (owns_fd_) ::close(fd_);
 }
 
-bool ChunkReader::next(std::string_view& chunk) {
+bool ChunkReader::read_into(char* dst, std::size_t cap, std::size_t& got) {
   if (source_ == Source::kDecompressed) {
-    if (done_) {
+    got = std::min(cap, text_.size() - text_off_);
+    if (got == 0) {
       std::string().swap(text_);
+      text_off_ = 0;
       return false;
     }
-    done_ = true;
-    chunk = text_;
-    return !text_.empty();
+    std::memcpy(dst, text_.data() + text_off_, got);
+    text_off_ += got;
+    return true;
   }
-  // new char[] leaves the buffer uninitialised: no page is touched
-  // before read() fills it.
-  if (!buf_) buf_.reset(new char[kReadChunk]);
-  const ssize_t n = ::read(fd_, buf_.get(), kReadChunk);
+  const ssize_t n = ::read(fd_, dst, cap);
   if (n < 0) {
     if (errno != EINTR) {
       throw std::runtime_error(std::string("read failed: ") +
                                std::strerror(errno));
     }
-    chunk = {};
+    got = 0;
     return true;
   }
-  chunk = {buf_.get(), static_cast<std::size_t>(n)};
+  got = static_cast<std::size_t>(n);
   return n > 0;
 }
 

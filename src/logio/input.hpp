@@ -11,16 +11,17 @@
 //    anyway), or when the kernel refuses the mapping. The file size is
 //    snapshotted at open: a concurrent writer appending after open()
 //    is not seen (same contract as the old slurp reader).
-//  - ChunkReader: the input one read() at a time, for one-pass readers
-//    (stream --in, anonymize), so resident input stays one buffer on
-//    files, pipes and stdin alike.
+//  - ChunkReader: the input one read() at a time into the caller's
+//    buffer, for one-pass readers (stream --in, anonymize). They read
+//    into a net::FrameDecoder's window, which cuts the lines, so
+//    resident input stays one bounded buffer on files, pipes and stdin
+//    alike.
 // Every route is pinned byte-identical to the mmap path by
 // tests/test_logio_input.cpp.
 #pragma once
 
 #include <cstddef>
 #include <filesystem>
-#include <memory>
 #include <string>
 #include <string_view>
 
@@ -64,20 +65,27 @@ class InputBuffer {
   Source source_ = Source::kRead;
 };
 
-/// An input handed out one chunk at a time:
-///  - a file, pipe, FIFO or stdin is read() into one kReadChunk
-///    buffer, and each read is handed out as soon as it returns, so a
-///    live pipe is consumed as it is written;
-///  - a .wsc log is decompressed whole and handed out as one chunk:
-///    compress::decompress takes one container and has no block API.
-/// A chunk is valid until the next call to next(); a line cut by a
-/// chunk edge is the caller's to join (simd::ChunkSplitter does).
+/// The read size of ChunkReader's callers: one read() fills at most
+/// this many bytes of the line decoder's buffer.
+inline constexpr std::size_t kReadChunk = std::size_t{256} << 10;
+
+/// The longest line `wss stream --in` and `wss anonymize` accept. A
+/// longer one is skipped whole and counted, so a line with no newline
+/// holds at most this much memory. A constant, not a flag: one reader
+/// holds one buffer, and no input needs a second value.
+inline constexpr std::size_t kMaxLine = std::size_t{8} << 20;
+
+/// An input read one read() at a time into the caller's buffer:
+///  - a file, pipe, FIFO or stdin is read() directly, and each read
+///    returns as soon as the kernel has bytes, so a live pipe is
+///    consumed as it is written;
+///  - a .wsc log is decompressed whole up front (compress::decompress
+///    takes one container and has no block API) and copied out in
+///    reads of the caller's size.
 /// Neither copyable nor movable: the factories return it in place.
 class ChunkReader {
  public:
   using Source = InputBuffer::Source;
-
-  static constexpr std::size_t kReadChunk = std::size_t{256} << 10;
 
   /// Opens `path`, choosing the route as described above. Throws
   /// std::runtime_error when the file cannot be opened.
@@ -91,11 +99,12 @@ class ChunkReader {
   ChunkReader& operator=(const ChunkReader&) = delete;
   ~ChunkReader();
 
-  /// Points `chunk` at the next chunk and returns true, or returns
-  /// false at the end of the input. A read() that a signal interrupts
-  /// yields an empty chunk, so a caller blocked on an idle pipe can
-  /// check its stop flag. Throws std::runtime_error on a read error.
-  bool next(std::string_view& chunk);
+  /// Reads up to `cap` (> 0) bytes into `dst`, sets `got` and returns
+  /// true; returns false at the end of the input. A read() that a
+  /// signal interrupts gives got == 0 and true, so a caller blocked on
+  /// an idle pipe can check its stop flag. Throws std::runtime_error on
+  /// a read error.
+  bool read_into(char* dst, std::size_t cap, std::size_t& got);
 
   Source source() const { return source_; }
 
@@ -104,11 +113,10 @@ class ChunkReader {
   explicit ChunkReader(std::string text);
 
   Source source_;
-  int fd_ = -1;                 ///< kRead: the descriptor read from
-  bool owns_fd_ = false;        ///< kRead: close fd_ when done
-  std::unique_ptr<char[]> buf_; ///< kRead: the one read buffer
-  std::string text_;            ///< kDecompressed: the text, until handed out
-  bool done_ = false;           ///< kDecompressed: the chunk went out
+  int fd_ = -1;               ///< kRead: the descriptor read from
+  bool owns_fd_ = false;      ///< kRead: close fd_ when done
+  std::string text_;          ///< kDecompressed: the whole text
+  std::size_t text_off_ = 0;  ///< kDecompressed: bytes handed out
 };
 
 }  // namespace wss::logio

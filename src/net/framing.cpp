@@ -2,29 +2,29 @@
 
 #include <cstring>
 
-#include "simd/scan.hpp"
-
 namespace wss::net {
 
 char* FrameDecoder::write_window(std::size_t min_bytes) {
   if (min_bytes == 0) min_bytes = 1;
-  const std::size_t cap = buf_.size();
-  if (cap - head_ - size_ < min_bytes) {
-    if (size_ + min_bytes <= cap) {
+  if (room() < min_bytes) {
+    if (size_ + min_bytes <= cap_) {
       // Compact the carry (a partial frame straddling the last read) to
       // the front. This is the only copy a straddling frame ever pays.
-      std::memmove(buf_.data(), buf_.data() + head_, size_);
+      std::memmove(buf_.get(), buf_.get() + head_, size_);
       head_ = 0;
     } else {
-      std::size_t ncap = cap != 0 ? cap : 4096;
+      std::size_t ncap = cap_ != 0 ? cap_ : 4096;
       while (ncap < size_ + min_bytes) ncap <<= 1;
-      std::vector<char> nbuf(ncap);
-      if (size_ > 0) std::memcpy(nbuf.data(), buf_.data() + head_, size_);
+      // new char[] leaves the storage uninitialised: only the pages the
+      // carry and later reads write are ever touched.
+      std::unique_ptr<char[]> nbuf(new char[ncap]);
+      if (size_ > 0) std::memcpy(nbuf.get(), buf_.get() + head_, size_);
       buf_ = std::move(nbuf);
+      cap_ = ncap;
       head_ = 0;
     }
   }
-  return buf_.data() + head_ + size_;
+  return buf_.get() + head_ + size_;
 }
 
 void FrameDecoder::feed(std::string_view bytes) {
@@ -34,57 +34,13 @@ void FrameDecoder::feed(std::string_view bytes) {
   commit(bytes.size());
 }
 
-std::size_t FrameDecoder::find_newline() {
-  // Resume where the last search stopped: bytes [0, scanned_) hold no
-  // '\n', so a line delivered in thousands of 1-byte segments is still
-  // scanned O(length) total, not O(length^2).
-  const char* base = head();
-  const char* hit = simd::find_byte(base + scanned_, base + size_, '\n');
-  if (hit == base + size_) {
-    scanned_ = size_;
-    return kNpos;
-  }
-  return static_cast<std::size_t>(hit - base);
-}
-
 bool FrameDecoder::next_view(std::string_view& frame) {
   if (error_) return false;
   if (mode_ == Framing::kNewline) {
-    for (;;) {
-      const std::size_t nl = find_newline();
-      if (nl == kNpos) {
-        // No terminator buffered. If the partial already exceeds the
-        // cap, switch to discard mode and drop what we hold -- the
-        // frame is oversized no matter what follows.
-        if (!discarding_ && size_ > max_frame_) {
-          discarding_ = true;
-          ++oversized_;
-        }
-        if (discarding_) clear_bytes();
-        return false;
-      }
-      if (discarding_) {
-        // The terminator of the oversized line: resume at the next one.
-        consume(nl + 1);
-        scanned_ = 0;
-        discarding_ = false;
-        continue;
-      }
-      std::size_t len = nl;
-      if (len > max_frame_) {
-        ++oversized_;
-        consume(nl + 1);
-        scanned_ = 0;
-        continue;
-      }
-      if (len > 0 && head()[len - 1] == '\r') --len;
-      frame = std::string_view(head(), len);
-      // consume() only advances indices; the bytes stay put until the
-      // next write_window() compacts or grows, so the view holds.
-      consume(nl + 1);
-      scanned_ = 0;
-      return true;
-    }
+    return !for_each_frame([&frame](std::string_view line) {
+      frame = line;
+      return false;
+    });
   }
 
   // kLenPrefix: 4-byte big-endian header, contiguous in the linear
@@ -144,8 +100,7 @@ bool FrameDecoder::finish_view(std::string_view& frame) {
   // Index reset, not a memory write: the returned view stays valid
   // until the next write_window()/feed().
   clear_bytes();
-  // A tail of exactly "\r" strips to nothing: cleared, not delivered.
-  return len > 0;
+  return true;
 }
 
 bool FrameDecoder::finish(std::string& frame) {

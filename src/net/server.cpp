@@ -214,6 +214,8 @@ struct Server::Impl {
     Tag tag{TagKind::kUdpListener};
     std::uint16_t port = 0;
     Tenant* tenant = nullptr;
+    FrameDecoder decoder;  ///< one datagram at a time
+    std::uint64_t published_oversized = 0;
   };
 
   /// One event-loop shard: its own epoll, its own wake pipe, its own
@@ -426,6 +428,7 @@ struct Server::Impl {
       for (auto& s : shards) {
         auto l = std::make_unique<BoundUdp>();
         l->tenant = tenant;
+        l->decoder = FrameDecoder(Framing::kNewline, opts.max_frame);
         l->fd =
             bind_udp(resolve_ipv4(opts.bind_host, port), 1 << 20, reuseport);
         l->port = bound_port(l->fd.get());
@@ -478,14 +481,17 @@ struct Server::Impl {
     }
   }
 
-  void publish_oversized(Conn& c) {
-    const std::uint64_t total = c.decoder.oversized();
-    if (total > c.published_oversized) {
-      const std::uint64_t fresh = total - c.published_oversized;
+  void publish_oversized(const FrameDecoder& d, std::uint64_t& published) {
+    const std::uint64_t total = d.oversized();
+    if (total > published) {
+      const std::uint64_t fresh = total - published;
       oversized_total.fetch_add(fresh, std::memory_order_relaxed);
       oversized_ctr.inc(fresh);
-      c.published_oversized = total;
+      published = total;
     }
+  }
+  void publish_oversized(Conn& c) {
+    publish_oversized(c.decoder, c.published_oversized);
   }
 
   void protocol_error(Shard& s, Conn& c, const std::string& why) {
@@ -733,7 +739,6 @@ struct Server::Impl {
   // ---- UDP ----
 
   void pump_udp(Shard& s, BoundUdp& l) {
-    char buf[64 * 1024];
     auto& batch = s.udp_batch;
     s.udp_batch_len = 0;
     const auto flush = [&] {
@@ -746,37 +751,32 @@ struct Server::Impl {
       s.batches_ctr->inc();
       s.udp_batch_len = 0;
     };
-    const auto push_line = [&](const char* data, std::size_t len) {
+    const auto push_line = [&](std::string_view line) {
       if (s.udp_batch_len == batch.size()) batch.emplace_back();
       stream::StreamItem& item = batch[s.udp_batch_len++];
       item.client_us = 0;
-      item.line.assign(data, len);
+      item.line.assign(line.data(), line.size());
+      return true;
     };
     for (int i = 0; i < kMaxDatagramsPerWake; ++i) {
       std::size_t got = 0;
-      const IoStatus st = recv_dgram(l.fd.get(), buf, sizeof buf, got);
+      char* dst = l.decoder.write_window(kReadChunk);
+      const IoStatus st = recv_dgram(l.fd.get(), dst, kReadChunk, got);
       if (st != IoStatus::kOk) break;
-      // One datagram carries one or more newline-separated lines (a
-      // lone trailing newline does not make an empty final line --
-      // same contract as reading a file).
-      std::size_t start = 0;
-      while (start < got) {
-        std::size_t end = start;
-        while (end < got && buf[end] != '\n') ++end;
-        std::size_t len = end - start;
-        if (len > 0 && buf[start + len - 1] == '\r') --len;
-        if (len <= opts.max_frame) {
-          push_line(buf + start, len);
-        } else {
-          oversized_total.fetch_add(1, std::memory_order_relaxed);
-          oversized_ctr.inc();
-        }
-        start = end + 1;
-      }
-      if (got == 0) push_line(buf, 0);
+      // A datagram is decoded whole: its unterminated tail is its last
+      // line, and a lone trailing newline makes no empty line -- the
+      // same contract as reading a file. An empty datagram is one empty
+      // line: a sender that writes each line as a datagram adds no
+      // '\n'.
+      if (got == 0) push_line({});
+      l.decoder.commit(got);
+      l.decoder.for_each_frame(push_line);
+      std::string_view tail;
+      if (l.decoder.finish_view(tail)) push_line(tail);
       if (s.udp_batch_len >= kBatchLines) flush();
     }
     flush();
+    publish_oversized(l.decoder, l.published_oversized);
   }
 
   // ---- HTTP (shard 0 only) ----

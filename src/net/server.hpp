@@ -91,7 +91,13 @@ struct ServeOptions {
   TenantConfig tenant_defaults;
   bool allow_handshake_tenants = true;
 
-  std::size_t max_frame = 1 << 20;  ///< mirrors the reader's line guard
+  /// The longest line one TCP frame or UDP datagram line may be;
+  /// longer ones are skipped whole and counted (wss_net_oversized_total).
+  /// Serve holds one decoder buffer per connection, so its memory is
+  /// this bound times the open connections, and an operator sizes it to
+  /// the connection count (--max-frame). `wss stream --in` holds one
+  /// buffer in all, so its bound is the constant logio::kMaxLine.
+  std::size_t max_frame = 1 << 20;
   int drain_grace_ms = 5000;        ///< connection EOF budget at shutdown
   /// epoll_wait timeout: bounds how late a loop notices its drain
   /// deadline and publishes ring drops. Paused connections do not

@@ -23,21 +23,28 @@ inline std::uint64_t allocations() {
 
 }  // namespace wss::testing_util
 
-void* operator new(std::size_t size) {
+// Not inlined: GCC would otherwise see std::malloc() and std::free()
+// through them and warn (-Wmismatched-new-delete) that a pointer from
+// one is released by the other, though they are replaced as a set.
+[[gnu::noinline]] void* operator new(std::size_t size) {
   wss::testing_util::g_allocation_count.fetch_add(1,
                                                    std::memory_order_relaxed);
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
 
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+[[gnu::noinline]] void* operator new(std::size_t size,
+                                     const std::nothrow_t&) noexcept {
   wss::testing_util::g_allocation_count.fetch_add(1,
                                                    std::memory_order_relaxed);
   return std::malloc(size);
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept {
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p,
+                                       const std::nothrow_t&) noexcept {
   std::free(p);
 }

@@ -1,7 +1,7 @@
 // Input fallback-path contract: whatever route the bytes take --
-// mmap'd pages, read() into an owned buffer or ChunkReader's chunks, a
+// mmap'd pages, read() into an owned buffer or ChunkReader's reads, a
 // pipe, a .wsc decompression -- InputBuffer's view and ChunkReader's
-// concatenated chunks are byte-identical, and everything built on them
+// concatenated reads are byte-identical, and everything built on them
 // (the read loop of tests/read_records.hpp) behaves identically.
 // InputBuffer::open maps every non-empty regular file, so these tests
 // reach its read() route through a FIFO, which is never mapped. The
@@ -83,16 +83,20 @@ std::string sample_log() {
   return text;
 }
 
-/// Every chunk a reader yields, concatenated; `chunks` counts them.
-std::string drain(ChunkReader& reader, std::size_t* chunks = nullptr) {
+/// Every read_into() of at most `cap` bytes a reader makes,
+/// concatenated; `reads` counts the ones that returned bytes.
+std::string drain(ChunkReader& reader, std::size_t* reads = nullptr,
+                  std::size_t cap = kReadChunk) {
   std::string out;
-  std::string_view chunk;
+  std::string buf(cap, '\0');
+  std::size_t got = 0;
   std::size_t n = 0;
-  while (reader.next(chunk)) {
-    out.append(chunk);
-    ++n;
+  while (reader.read_into(buf.data(), cap, got)) {
+    EXPECT_LE(got, cap);
+    out.append(buf, 0, got);
+    if (got > 0) ++n;
   }
-  if (chunks != nullptr) *chunks = n;
+  if (reads != nullptr) *reads = n;
   return out;
 }
 
@@ -218,33 +222,29 @@ TEST(LogioInput, TruncatedWhileReadingYieldsRemainingBytes) {
   EXPECT_EQ(read, std::string_view(text).substr(0, 1000));
 }
 
-// A regular file is read, not mapped: handed out in chunks of at most
-// kReadChunk bytes, which put back together are the file.
+// A regular file is read, not mapped: read in pieces of at most the
+// caller's size, which put back together are the file.
 TEST(LogioInput, ChunkReaderReadsAFileInChunks) {
   const TempDir dir;
   std::string text;
-  while (text.size() < 2 * ChunkReader::kReadChunk + 12345) {
+  while (text.size() < 2 * kReadChunk + 12345) {
     text += sample_log();
   }
   write_file(dir.file("big.log"), text);
   ChunkReader reader = ChunkReader::open(dir.file("big.log"));
   EXPECT_EQ(reader.source(), InputBuffer::Source::kRead);
-  std::string_view chunk;
-  std::string read;
-  std::size_t chunks = 0;
-  while (reader.next(chunk)) {
-    EXPECT_LE(chunk.size(), ChunkReader::kReadChunk);
-    read.append(chunk);
-    ++chunks;
-  }
-  EXPECT_EQ(read, text);
-  EXPECT_GE(chunks, 3u);
-  EXPECT_FALSE(reader.next(chunk));  // the end stays the end
+  std::size_t reads = 0;
+  EXPECT_EQ(drain(reader, &reads), text);
+  EXPECT_GE(reads, 3u);
+  char byte = 0;
+  std::size_t got = 0;
+  EXPECT_FALSE(reader.read_into(&byte, 1, got));  // the end stays the end
 }
 
 // A FIFO named by path takes the read() route; an empty file yields
-// no chunk; a .wsc log is one decompressed chunk. Every route's bytes
-// equal InputBuffer's view of the same input.
+// no bytes; a .wsc log is decompressed up front and copied out in
+// reads of the caller's size. Every route's bytes equal InputBuffer's
+// view of the same input.
 TEST(LogioInput, ChunkReaderRoutesMatchInputBuffer) {
   const TempDir dir;
   const std::string text = sample_log();
@@ -258,15 +258,17 @@ TEST(LogioInput, ChunkReaderRoutesMatchInputBuffer) {
 
   write_file(dir.file("empty.log"), "");
   ChunkReader empty = ChunkReader::open(dir.file("empty.log"));
-  std::size_t chunks = 1;
-  EXPECT_TRUE(drain(empty, &chunks).empty());
-  EXPECT_EQ(chunks, 0u);
+  std::size_t reads = 1;
+  EXPECT_TRUE(drain(empty, &reads).empty());
+  EXPECT_EQ(reads, 0u);
   EXPECT_EQ(empty.source(), InputBuffer::Source::kRead);
 
   write_file(dir.file("log.wsc"), compress::compress(text));
   ChunkReader wsc = ChunkReader::open(dir.file("log.wsc"));
-  EXPECT_EQ(drain(wsc, &chunks), InputBuffer::open(dir.file("log.wsc")).view());
-  EXPECT_EQ(chunks, 1u);
+  const std::size_t cap = 1000;
+  EXPECT_EQ(drain(wsc, &reads, cap),
+            InputBuffer::open(dir.file("log.wsc")).view());
+  EXPECT_EQ(reads, (text.size() + cap - 1) / cap);
   EXPECT_EQ(wsc.source(), InputBuffer::Source::kDecompressed);
 
   EXPECT_THROW(ChunkReader::open("/nonexistent/definitely/missing.log"),

@@ -69,6 +69,19 @@ TEST(NetFraming, FinishFlushesUnterminatedTail) {
   EXPECT_FALSE(d.finish(f));  // flushed once
 }
 
+// A tail of exactly "\r" strips to an empty line and is delivered,
+// like "\r\n" mid-stream: every CR-terminated input keeps its line
+// count.
+TEST(NetFraming, LoneCarriageReturnTailIsAnEmptyLine) {
+  FrameDecoder d(Framing::kNewline);
+  d.feed("a\r\n\r\n\r");
+  EXPECT_EQ(drain(d), (std::vector<std::string>{"a", ""}));
+  std::string f = "stale";
+  ASSERT_TRUE(d.finish(f));
+  EXPECT_EQ(f, "");
+  EXPECT_FALSE(d.finish(f));
+}
+
 TEST(NetFraming, FinishOnCleanStreamIsEmpty) {
   FrameDecoder d(Framing::kNewline);
   d.feed("done\n");

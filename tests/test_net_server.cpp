@@ -195,24 +195,31 @@ TEST_F(NetServerTest, UdpDatagramIngest) {
   ServeOptions opts;
   opts.udp.push_back({0, "u"});
   opts.tenants.push_back(tenant("u", parse::SystemId::kLiberty));
+  opts.max_frame = 64;
   start(std::move(opts));
 
   Fd tx = udp_socket();
   const Ipv4 to = resolve_ipv4("127.0.0.1", server_->udp_port(0));
   // Two lines in one datagram (trailing empty segment is not a line),
-  // a bare line with no terminator, and a CRLF-terminated line.
-  for (const char* gram_cstr : {"a\nb\n", "c", "d\r\n"}) {
-    const std::string gram(gram_cstr);
+  // a bare line with no terminator, and a CRLF-terminated line. Then
+  // the edges: an empty datagram, a lone "\n" and a lone "\r" are one
+  // empty line each, and a line over max_frame is counted, not
+  // delivered.
+  for (const std::string& gram :
+       {std::string("a\nb\n"), std::string("c"), std::string("d\r\n"),
+        std::string(), std::string("\n"), std::string("\r"),
+        std::string(100, 'x')}) {
     ASSERT_TRUE(send_dgram(tx.get(), to, gram.data(), gram.size()));
   }
-  wait_status_contains("\"name\":\"u\",\"system\":\"liberty\",\"delivered\":4");
+  wait_status_contains("\"name\":\"u\",\"system\":\"liberty\",\"delivered\":7");
 
   const ServeReport report = stop();
   const ServeTenantReport* t = find_tenant(report, "u");
   ASSERT_NE(t, nullptr);
-  EXPECT_EQ(t->delivered, 4u);
+  EXPECT_EQ(t->delivered, 7u);
   EXPECT_EQ(t->dropped, 0u);
-  EXPECT_EQ(t->ingested, 4u);
+  EXPECT_EQ(t->ingested, 7u);
+  EXPECT_EQ(report.oversized, 1u);
 }
 
 TEST_F(NetServerTest, StalledTenantDropsAreAccountedNeverSilent) {

@@ -16,9 +16,13 @@
 #include <cstdint>
 #include <random>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "alloc_counter.hpp"
+#include "logio/input.hpp"
 #include "match/literal_scanner.hpp"
+#include "net/framing.hpp"
 #include "simd/dispatch.hpp"
 #include "simd/scan.hpp"
 #include "simd/split.hpp"
@@ -342,58 +346,74 @@ TEST(SimdDifferential, ForEachLineMatchesGetlineAtEveryLevel) {
   }
 }
 
-// ChunkSplitter: identical output whatever the chunking -- 1-byte
-// feeds, prime-sized feeds, feeds splitting exactly at '\n', at
-// vector-width boundaries, and whole-corpus feeds.
-TEST(SimdDifferential, ChunkSplitterInvariantUnderChunking) {
+/// The line decoder's contract on the same corpora: getline's lines
+/// with one trailing '\r' stripped from each.
+std::vector<std::string> decoder_reference(std::string_view text) {
+  std::vector<std::string> out = getline_reference(text);
+  for (std::string& line : out) {
+    if (!line.empty() && line.back() == '\r') line.pop_back();
+  }
+  return out;
+}
+
+// net::FrameDecoder, the line splitter of every chunked route:
+// identical lines whatever the chunking -- 1-byte feeds, prime-sized
+// feeds, feeds splitting exactly at '\n', at vector-width boundaries,
+// and whole-corpus feeds -- at every level. Bounded by logio::kMaxLine
+// as `wss stream --in` is, since a corpus holds a >1 MiB line.
+TEST(SimdDifferential, FrameDecoderInvariantUnderChunking) {
   const LevelGuard guard;
   for (const std::string& corpus : corpora()) {
-    const auto ref = getline_reference(corpus);
+    const auto ref = decoder_reference(corpus);
     for (const Level l : supported_levels()) {
       ASSERT_TRUE(set_level(l));
       for (const std::size_t chunk :
            {std::size_t{1}, std::size_t{2}, std::size_t{7}, std::size_t{16},
             std::size_t{17}, std::size_t{32}, std::size_t{33},
             std::size_t{4096}, corpus.size() + 1}) {
-        ChunkSplitter splitter;
+        net::FrameDecoder decoder(net::Framing::kNewline, logio::kMaxLine);
         std::vector<std::string> got;
         const auto emit = [&](std::string_view line) {
           got.emplace_back(line);
+          return true;
         };
         for (std::size_t pos = 0; pos < corpus.size(); pos += chunk) {
-          splitter.feed(
-              std::string_view(corpus).substr(pos, chunk), emit);
+          decoder.feed(std::string_view(corpus).substr(pos, chunk));
+          ASSERT_TRUE(decoder.for_each_frame(emit));
         }
-        splitter.finish(emit);
-        ASSERT_EQ(got, ref)
-            << level_name(l) << " chunk=" << chunk;
+        std::string_view tail;
+        if (decoder.finish_view(tail)) emit(tail);
+        ASSERT_EQ(got, ref) << level_name(l) << " chunk=" << chunk;
+        EXPECT_EQ(decoder.oversized(), 0u);
       }
     }
   }
 }
 
-// ChunkSplitter steady-state: arenas stop growing once they have seen
-// the longest line (the zero-allocation contract's storage half).
-TEST(SimdDifferential, ChunkSplitterArenaReachesSteadyState) {
-  ChunkSplitter splitter;
+// A warm decoder allocates nothing: once its buffer has held the
+// longest line, feeding that line again in 1 KiB pieces (the worst
+// case: the carry grows on every feed) never touches the heap.
+TEST(SimdDifferential, WarmFrameDecoderAllocatesNothing) {
+  net::FrameDecoder decoder(net::Framing::kNewline, logio::kMaxLine);
   const std::string line(100000, 'y');
-  const auto drop = [](std::string_view) {};
-  for (int round = 0; round < 3; ++round) {
-    // Feed the long line in 1KiB chunks (worst case: repeated carry
-    // growth), then a newline.
+  std::size_t lines = 0;
+  const auto count = [&lines](std::string_view) {
+    ++lines;
+    return true;
+  };
+  const auto feed_line = [&] {
     for (std::size_t p = 0; p < line.size(); p += 1024) {
-      splitter.feed(std::string_view(line).substr(p, 1024), drop);
+      decoder.feed(std::string_view(line).substr(p, 1024));
+      decoder.for_each_frame(count);
     }
-    splitter.feed("\n", drop);
-  }
-  const std::size_t blocks = splitter.arena_blocks();
-  for (int round = 0; round < 5; ++round) {
-    for (std::size_t p = 0; p < line.size(); p += 1024) {
-      splitter.feed(std::string_view(line).substr(p, 1024), drop);
-    }
-    splitter.feed("\n", drop);
-  }
-  EXPECT_EQ(splitter.arena_blocks(), blocks);
+    decoder.feed("\n");
+    decoder.for_each_frame(count);
+  };
+  feed_line();  // warm-up: the buffer grows to the line
+  const std::uint64_t before = testing_util::allocations();
+  for (int round = 0; round < 5; ++round) feed_line();
+  EXPECT_EQ(testing_util::allocations(), before);
+  EXPECT_EQ(lines, 6u);
 }
 
 // The LiteralScanner's vectorized root skip must report the same

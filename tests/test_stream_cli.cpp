@@ -58,6 +58,17 @@ class StreamCliTest : public ::testing::Test {
     return lines;
   }
 
+  /// The reference ingest of `log`: InputBuffer + for_each_line, each
+  /// line with one trailing '\r' stripped, as the line decoder does.
+  static void ingest_decoded(stream::StreamPipeline& ref,
+                             const std::string& log) {
+    const logio::InputBuffer input = logio::InputBuffer::open(log);
+    simd::for_each_line(input.view(), [&ref](std::string_view line) {
+      if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+      ref.ingest_line(line);
+    });
+  }
+
   fs::path dir_;
   std::ostringstream out_;
   std::ostringstream err_;
@@ -349,9 +360,7 @@ TEST_F(StreamCliTest, FileModeMatchesPipelineOnEdgeCaseLines) {
   popts.strict_order = false;
   popts.predict.enabled = true;
   stream::StreamPipeline ref(parse::SystemId::kLiberty, popts);
-  const logio::InputBuffer input = logio::InputBuffer::open(log);
-  simd::for_each_line(input.view(),
-                      [&ref](std::string_view line) { ref.ingest_line(line); });
+  ingest_decoded(ref, log);
   ref.finish();
   EXPECT_EQ(ref.events(), lines.size() + 3);
   EXPECT_EQ(out_.str(), stream::render_snapshot(ref.snapshot()));
@@ -366,7 +375,7 @@ TEST_F(StreamCliTest, FileModeMatchesPipelineAcrossReadChunks) {
                         "--cap", "300", "--chatter", "20000"}),
             0);
   const std::string lines = util::read_file(part);
-  const std::size_t chunk = logio::ChunkReader::kReadChunk;
+  const std::size_t chunk = logio::kReadChunk;
   std::string text;
   // Whole lines up to ~100 kB before the edge, then one line longer
   // than two chunks.
@@ -390,14 +399,35 @@ TEST_F(StreamCliTest, FileModeMatchesPipelineAcrossReadChunks) {
   popts.strict_order = false;
   popts.predict.enabled = true;
   stream::StreamPipeline ref(parse::SystemId::kLiberty, popts);
-  const logio::InputBuffer input = logio::InputBuffer::open(log);
-  simd::for_each_line(input.view(),
-                      [&ref](std::string_view line) { ref.ingest_line(line); });
+  ingest_decoded(ref, log);
   ref.finish();
   EXPECT_EQ(ref.events(),
             static_cast<std::uint64_t>(std::count(text.begin(), text.end(),
                                                   '\n')) + 1);
   EXPECT_EQ(out_.str(), stream::render_snapshot(ref.snapshot()));
+}
+
+// A log whose every line ends "\r\n" is the same log: `--in` strips
+// one trailing '\r', on all five systems, so the CRLF copy prints the
+// LF log's report.
+TEST_F(StreamCliTest, FileModeCrlfCopyPrintsTheLfReport) {
+  for (const char* system : {"bgl", "tbird", "rstorm", "spirit", "liberty"}) {
+    SCOPED_TRACE(system);
+    const auto lf = (dir_ / (std::string(system) + ".log")).string();
+    ASSERT_EQ(run_tokens({"generate", "--system", system, "--out", lf,
+                          "--cap", "400", "--chatter", "2000"}),
+              0);
+    std::string crlf;
+    for (const std::string& line : file_lines(lf)) crlf += line + "\r\n";
+    const auto crlf_log = (dir_ / (std::string(system) + ".crlf")).string();
+    util::publish_file(crlf_log, crlf);
+
+    ASSERT_EQ(run_tokens({"stream", "--system", system, "--in", lf}), 0);
+    const std::string expected = out_.str();
+    ASSERT_EQ(run_tokens({"stream", "--system", system, "--in", crlf_log}),
+              0);
+    EXPECT_EQ(out_.str(), expected);
+  }
 }
 
 TEST_F(StreamCliTest, GenerateReplayUnpacedMatchesBulkWrite) {

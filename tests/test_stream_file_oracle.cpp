@@ -185,7 +185,7 @@ TEST_F(StreamFileOracleTest, OtherThresholds) {
 // reach the engine whole.
 TEST_F(StreamFileOracleTest, SpansSeveralReadChunks) {
   const std::string log = generate(SystemId::kBlueGeneL, 5, false, "10000");
-  ASSERT_GT(fs::file_size(log), 4 * logio::ChunkReader::kReadChunk);
+  ASSERT_GT(fs::file_size(log), 4 * logio::kReadChunk);
   expect_stream_matches_oracle(SystemId::kBlueGeneL, log, 5.0);
 }
 
