@@ -10,6 +10,8 @@ namespace wss::compress {
 
 namespace {
 constexpr std::string_view kMagic = "WSC1";
+/// Magic plus the u64 raw size.
+constexpr std::size_t kHeaderSize = kMagic.size() + 8;
 }  // namespace
 
 std::string compress(std::string_view input) {
@@ -23,7 +25,7 @@ std::string compress(std::string_view input) {
 }
 
 std::string decompress(std::string_view compressed) {
-  if (compressed.size() < kMagic.size() + 8 ||
+  if (compressed.size() < kHeaderSize ||
       compressed.substr(0, kMagic.size()) != kMagic) {
     throw std::runtime_error("codec: bad magic");
   }
@@ -34,16 +36,20 @@ std::string decompress(std::string_view compressed) {
          << (8 * b);
   }
   std::string out =
-      lzss_decompress(huffman_decode(compressed.substr(kMagic.size() + 8)));
+      lzss_decompress(huffman_decode(compressed.substr(kHeaderSize)));
   if (out.size() != n) {
     throw std::runtime_error("codec: size mismatch after decompression");
   }
   return out;
 }
 
+std::uint64_t compressed_size(std::string_view input) {
+  return kHeaderSize + huffman_encoded_size(lzss_token_histogram(input));
+}
+
 double compression_fraction(std::string_view input) {
   if (input.empty()) return 1.0;
-  return static_cast<double>(compress(input).size()) /
+  return static_cast<double>(compressed_size(input)) /
          static_cast<double>(input.size());
 }
 

@@ -22,8 +22,7 @@ struct TreeNode {
 
 /// Computes code lengths for symbols with nonzero freq; returns true
 /// if all lengths fit in kMaxCodeLen.
-bool compute_lengths(const std::vector<std::uint64_t>& freq,
-                     std::vector<int>& len) {
+bool compute_lengths(const ByteFrequencies& freq, std::vector<int>& len) {
   len.assign(256, 0);
   std::vector<TreeNode> nodes;
   using Entry = std::pair<std::uint64_t, int>;  // (freq, node index)
@@ -64,6 +63,29 @@ bool compute_lengths(const std::vector<std::uint64_t>& freq,
     }
   }
   return ok;
+}
+
+/// Code lengths for `freq`, limited to kMaxCodeLen by halving the
+/// frequencies until the tree fits.
+std::vector<int> limited_lengths(ByteFrequencies f) {
+  std::vector<int> len;
+  while (!compute_lengths(f, len)) {
+    for (auto& x : f) {
+      if (x > 0) x = x / 2 + 1;
+    }
+  }
+  return len;
+}
+
+/// Size of the huffman form (marker, 256 lengths, u64 count, the
+/// bitstream) of any input with byte frequencies `freq`.
+std::uint64_t huffman_form_size(const ByteFrequencies& freq,
+                                const std::vector<int>& len) {
+  std::uint64_t bits = 0;
+  for (std::size_t s = 0; s < 256; ++s) {
+    bits += freq[s] * static_cast<std::uint64_t>(len[s]);
+  }
+  return 1 + 256 + 8 + (bits + 7) / 8;
 }
 
 /// Canonical codes from lengths (shorter codes first, then by symbol).
@@ -144,16 +166,16 @@ class BitReader {
 }  // namespace
 
 std::string huffman_encode(std::string_view input) {
-  std::vector<std::uint64_t> freq(256, 0);
+  ByteFrequencies freq{};
   for (const char c : input) ++freq[static_cast<unsigned char>(c)];
+  const std::vector<int> len = limited_lengths(freq);
 
-  std::vector<int> len;
-  // Length-limit by halving frequencies until the tree fits.
-  std::vector<std::uint64_t> f = freq;
-  while (!compute_lengths(f, len)) {
-    for (auto& x : f) {
-      if (x > 0) x = x / 2 + 1;
-    }
+  if (huffman_form_size(freq, len) >= input.size() + 1) {
+    std::string raw;
+    raw.reserve(input.size() + 1);
+    raw.push_back(static_cast<char>(kFormatRaw));
+    raw.append(input);
+    return raw;
   }
 
   std::vector<std::uint32_t> code;
@@ -174,15 +196,13 @@ std::string huffman_encode(std::string_view input) {
     bw.write(code[s], len[s]);
   }
   bw.flush();
-
-  if (out.size() >= input.size() + 1) {
-    std::string raw;
-    raw.reserve(input.size() + 1);
-    raw.push_back(static_cast<char>(kFormatRaw));
-    raw.append(input);
-    return raw;
-  }
   return out;
+}
+
+std::uint64_t huffman_encoded_size(const ByteFrequencies& freq) {
+  std::uint64_t n = 0;
+  for (const std::uint64_t f : freq) n += f;
+  return std::min(huffman_form_size(freq, limited_lengths(freq)), n + 1);
 }
 
 std::string huffman_decode(std::string_view encoded) {

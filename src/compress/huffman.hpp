@@ -11,6 +11,8 @@
 // already-compressed or tiny inputs).
 #pragma once
 
+#include <array>
+#include <cstdint>
 #include <string>
 #include <string_view>
 
@@ -22,6 +24,15 @@ inline constexpr int kMaxCodeLen = 15;
 /// Encodes `input`; never expands by more than the 1-byte marker plus,
 /// in huffman mode, the fixed 265-byte header.
 std::string huffman_encode(std::string_view input);
+
+/// Byte counts of an input, indexed by byte value.
+using ByteFrequencies = std::array<std::uint64_t, 256>;
+
+/// huffman_encode(s).size() for any `s` with byte frequencies `freq`,
+/// computed from the code lengths alone: the huffman form's size, or
+/// the raw form's when that is not smaller -- the test huffman_encode
+/// makes.
+std::uint64_t huffman_encoded_size(const ByteFrequencies& freq);
 
 /// Decodes; throws std::runtime_error on malformed input.
 std::string huffman_decode(std::string_view encoded);

@@ -14,6 +14,7 @@
 //                          1 byte (length - kMinMatch)
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -25,8 +26,13 @@ inline constexpr std::size_t kWindowSize = 1u << 16;
 inline constexpr std::size_t kMinMatch = 4;
 inline constexpr std::size_t kMaxMatch = 258;
 
-/// Compresses `input` into the LZSS token stream.
+/// Compresses `input` into the LZSS token stream. Throws
+/// std::length_error past 2 GiB (match positions are 32-bit).
 std::string lzss_compress(std::string_view input);
+
+/// The byte frequencies of lzss_compress(input), indexed by byte value:
+/// the same match finder, tallying the stream instead of building it.
+std::array<std::uint64_t, 256> lzss_token_histogram(std::string_view input);
 
 /// Decompresses an LZSS token stream. Throws std::runtime_error on a
 /// malformed stream (bad offset, truncation).

@@ -1,27 +1,39 @@
 #include "net/framing.hpp"
 
+#include <algorithm>
+#include <cstdlib>
 #include <cstring>
+#include <new>
 
 namespace wss::net {
 
 char* FrameDecoder::write_window(std::size_t min_bytes) {
   if (min_bytes == 0) min_bytes = 1;
   if (room() < min_bytes) {
-    if (size_ + min_bytes <= cap_) {
-      // Compact the carry (a partial frame straddling the last read) to
-      // the front. This is the only copy a straddling frame ever pays.
+    // Compact the carry (a partial frame straddling the last read) to
+    // the front. This is the only copy a straddling frame ever pays.
+    if (head_ > 0) {
       std::memmove(buf_.get(), buf_.get() + head_, size_);
       head_ = 0;
-    } else {
+    }
+    if (size_ + min_bytes > cap_) {
       std::size_t ncap = cap_ != 0 ? cap_ : 4096;
       while (ncap < size_ + min_bytes) ncap <<= 1;
-      // new char[] leaves the storage uninitialised: only the pages the
-      // carry and later reads write are ever touched.
-      std::unique_ptr<char[]> nbuf(new char[ncap]);
-      if (size_ > 0) std::memcpy(nbuf.get(), buf_.get() + head_, size_);
-      buf_ = std::move(nbuf);
+      // Growth that reaches the frame bound goes to the bound plus this
+      // window and stops there.
+      if (ncap >= max_frame_) {
+        ncap = std::max(size_ + min_bytes, max_frame_ + min_bytes);
+      }
+      // realloc, not a new buffer and a copy: a large block is remapped
+      // and a block at the heap's top is extended, so a line near the
+      // bound is not held twice (a copy held 8 MiB and a 16 MiB buffer
+      // for a line near logio::kMaxLine). The storage stays
+      // uninitialised: only the pages reads write are ever touched.
+      char* nbuf = static_cast<char*>(std::realloc(buf_.get(), ncap));
+      if (nbuf == nullptr) throw std::bad_alloc();
+      static_cast<void>(buf_.release());
+      buf_.reset(nbuf);
       cap_ = ncap;
-      head_ = 0;
     }
   }
   return buf_.get() + head_ + size_;

@@ -15,9 +15,10 @@
 //   * kLenPrefix: each frame is a 4-byte big-endian length followed by
 //     that many payload bytes. Binary-safe (payloads may contain '\n').
 //
-// Storage is one compacting linear buffer, sized to a power of two and
-// left uninitialised, so growing it touches only the pages that bytes
-// land on. A reader lands its read()/recv() straight in the writable
+// Storage is one compacting linear buffer, sized to a power of two
+// until it reaches the bound, grown with realloc and left
+// uninitialised, so growing it touches only the pages that bytes land
+// on. A reader lands its read()/recv() straight in the writable
 // tail (write_window()/room()/commit()), and for_each_frame()/
 // next_view() slice each complete line out as a std::string_view -- no
 // copy between the descriptor and the line. Only a line straddling a
@@ -40,6 +41,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -113,6 +115,9 @@ class FrameDecoder {
   /// Bytes currently buffered (tests; also a memory bound check).
   std::size_t buffered() const { return size_; }
 
+  /// Bytes the buffer can hold; it changes only when the buffer grows.
+  std::size_t capacity() const { return cap_; }
+
   /// Removes and returns all undecoded bytes, leaving the decoder
   /// empty. Used when a handshake switches a connection's framing: the
   /// remainder is re-fed to the replacement decoder.
@@ -136,8 +141,13 @@ class FrameDecoder {
 
   Framing mode_;
   std::size_t max_frame_;
-  std::unique_ptr<char[]> buf_;  ///< cap_ bytes, uninitialised
-  std::size_t cap_ = 0;          ///< a power of two, or 0
+  struct Free {
+    void operator()(char* p) const noexcept { std::free(p); }
+  };
+  std::unique_ptr<char[], Free> buf_;  ///< cap_ bytes from realloc
+  /// 0, a power of two below max_frame_, or once grown to the bound,
+  /// the bound (or the live bytes) plus one write window.
+  std::size_t cap_ = 0;
   std::size_t head_ = 0;         ///< offset of the first live byte
   std::size_t size_ = 0;         ///< live bytes at [head_, head_ + size_)
   std::size_t scanned_ = 0;      ///< newline mode: prefix known '\n'-free

@@ -37,8 +37,10 @@ namespace wss::stream {
 /// v4: v3 plus the seal() trailer; written via util::publish_file.
 /// v5: the episode miner is gone -- no miner state, and PredictOptions
 /// carries only enabled, train_alerts and horizon_us.
+/// v6: a filled Table 2 compression sample is saved as its raw size and
+/// fraction, not its text (tens of kB per checkpoint, not megabytes).
 inline constexpr std::uint32_t kCheckpointMagic = 0x57535343u;  // "WSSC"
-inline constexpr std::uint32_t kCheckpointVersion = 5;
+inline constexpr std::uint32_t kCheckpointVersion = 6;
 
 /// The 20-byte trailer that seals `payload` when appended to it: u64
 /// payload size, u64 util::fnv1a of the payload, u32 end magic.

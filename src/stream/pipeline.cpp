@@ -276,6 +276,8 @@ void StreamPipeline::restore(std::istream& is) {
     if (psink_) predict_->set_sink(psink_);
   }
 
+  // Assigning over the state joins its compression task, if one still
+  // runs (the task reads only the sample it owns).
   study_ = StreamStudyState(system_, so);
   study_.load(r);
   filter_ = OnlineSimultaneousFilter(so.threshold_us, strict);

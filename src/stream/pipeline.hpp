@@ -110,7 +110,8 @@ class StreamPipeline {
   /// Serializes the full engine state, including the obs registry's
   /// counter/gauge tables -- restore-and-finish then reports the same
   /// --metrics counters as an uninterrupted run. Publishes pending
-  /// metric deltas first (hence non-const). Writes checkpoint
+  /// metric deltas first (hence non-const), and waits for the Table 2
+  /// sample's compression if it still runs. Writes checkpoint
   /// kCheckpointVersion (sealed by stream::seal). Throws
   /// std::runtime_error on a write failure.
   void save(std::ostream& os);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <stdexcept>
+#include <utility>
 
 #include "compress/codec.hpp"
 #include "obs/metrics.hpp"
@@ -28,6 +29,15 @@ obs::Histogram& compression_seconds() {
   static obs::Histogram& h = obs::registry().histogram(
       "wss_stream_compression_seconds", obs::latency_bounds_seconds());
   return h;
+}
+
+/// compress::compression_fraction, timed into compression_seconds().
+double timed_fraction(std::string_view sample) {
+  const auto t0 = std::chrono::steady_clock::now();
+  const double fraction = compress::compression_fraction(sample);
+  compression_seconds().observe(std::chrono::duration<double>(
+      std::chrono::steady_clock::now() - t0).count());
+  return fraction;
 }
 
 }  // namespace
@@ -78,7 +88,16 @@ void StreamStudyState::on_event(const sim::SimEvent& e,
       sampled_lines_ < kCompressionSampleLines) {
     compression_sample_.append(line);
     compression_sample_.push_back('\n');
-    ++sampled_lines_;
+    if (++sampled_lines_ == kCompressionSampleLines) {
+      // Deferred only when no thread can be started: the first full
+      // snapshot or save() then compresses on the thread that calls it.
+      compression_task_ = std::async(
+          std::launch::async | std::launch::deferred,
+          [text = std::exchange(compression_sample_, {})]() mutable {
+            const std::string sample = std::move(text);  // freed on return
+            return SampleFraction{sample.size(), timed_fraction(sample)};
+          });
+    }
   }
 
   ++events_in_partial_;
@@ -170,18 +189,17 @@ StreamSnapshot StreamStudyState::snapshot(SnapshotScope scope) const {
   s.messages = acc.weighted_messages;
   for (const double w : acc.weighted_alert_counts) s.alerts += w;
 
-  if (scope == SnapshotScope::kFull && opts_.capture_compression_sample &&
-      !compression_sample_.empty()) {
-    if (!compression_cache_ ||
-        compression_cache_->first != compression_sample_.size()) {
-      const auto t0 = std::chrono::steady_clock::now();
-      compression_cache_ = {compression_sample_.size(),
-                            compress::compression_fraction(
-                                compression_sample_)};
-      compression_seconds().observe(std::chrono::duration<double>(
-          std::chrono::steady_clock::now() - t0).count());
+  if (scope == SnapshotScope::kFull) {
+    if (sampled_lines_ == kCompressionSampleLines) {
+      s.compressed_fraction = filled_fraction().fraction;
+    } else if (!compression_sample_.empty()) {
+      if (!compression_cache_ ||
+          compression_cache_->bytes != compression_sample_.size()) {
+        compression_cache_ = {compression_sample_.size(),
+                              timed_fraction(compression_sample_)};
+      }
+      s.compressed_fraction = compression_cache_->fraction;
     }
-    s.compressed_fraction = compression_cache_->second;
   }
 
   s.alerts_offered = alerts_offered_;
@@ -204,6 +222,12 @@ StreamSnapshot StreamStudyState::snapshot(SnapshotScope scope) const {
   s.raw_alerts_in_window = window_raw_alerts_.total(watermark_);
   s.admitted_in_window = window_admitted_.total(watermark_);
   return s;
+}
+
+const StreamStudyState::SampleFraction& StreamStudyState::filled_fraction()
+    const {
+  if (compression_task_.valid()) compression_cache_ = compression_task_.get();
+  return *compression_cache_;
 }
 
 void StreamStudyState::save_result(CheckpointWriter& w,
@@ -293,8 +317,16 @@ void StreamStudyState::save(CheckpointWriter& w) const {
   window_raw_alerts_.save(w);
   window_admitted_.save(w);
 
-  w.str(compression_sample_);
+  // v6: a filled sample travels as its raw size and fraction (bit
+  // exact), a filling one as its text.
   w.u64(sampled_lines_);
+  if (sampled_lines_ == kCompressionSampleLines) {
+    const SampleFraction& f = filled_fraction();
+    w.u64(f.bytes);
+    w.f64(f.fraction);
+  } else {
+    w.str(compression_sample_);
+  }
 }
 
 void StreamStudyState::load(CheckpointReader& r) {
@@ -327,9 +359,22 @@ void StreamStudyState::load(CheckpointReader& r) {
   window_raw_alerts_.load(r);
   window_admitted_.load(r);
 
-  compression_sample_ = r.str();
-  sampled_lines_ = static_cast<std::size_t>(r.u64());
+  compression_task_ = {};
   compression_cache_.reset();
+  compression_sample_.clear();
+  const std::uint64_t sampled = r.u64();
+  if (sampled > kCompressionSampleLines) {
+    throw std::runtime_error("checkpoint: implausible sample line count");
+  }
+  sampled_lines_ = static_cast<std::size_t>(sampled);
+  if (sampled_lines_ == kCompressionSampleLines) {
+    SampleFraction f;
+    f.bytes = r.u64();
+    f.fraction = r.f64();
+    compression_cache_ = f;
+  } else {
+    compression_sample_ = r.str();
+  }
 }
 
 }  // namespace wss::stream

@@ -19,6 +19,7 @@
 // through save()/load() bit-exactly.
 #pragma once
 
+#include <future>
 #include <optional>
 #include <string>
 
@@ -158,9 +159,9 @@ class StreamStudyState {
   /// afterwards reproduces the batch table rows bit-for-bit.
   void finish();
 
-  /// `kStatus` leaves compressed_fraction unset: computing it
-  /// compresses the whole sample whenever it has grown, and a status
-  /// line never prints it.
+  /// `kStatus` leaves compressed_fraction unset and never waits: a
+  /// status line never prints it. `kFull` compresses a sample that is
+  /// still filling, or waits for the task compressing a filled one.
   StreamSnapshot snapshot(SnapshotScope scope = SnapshotScope::kFull) const;
 
   std::uint64_t events() const { return events_; }
@@ -170,11 +171,21 @@ class StreamStudyState {
   void mark_no_ground_truth() { has_ground_truth_ = false; }
   bool has_ground_truth() const { return has_ground_truth_; }
 
+  /// Waits for the sample's compression task, if one runs: a filled
+  /// sample is saved as its raw size and fraction, not its text.
   void save(CheckpointWriter& w) const;
   void load(CheckpointReader& r);
 
  private:
+  /// The Table 2 fraction of a compression sample of `bytes` raw bytes.
+  struct SampleFraction {
+    std::uint64_t bytes = 0;
+    double fraction = 0.0;
+  };
+
   void merge_open_chunk();
+  /// The fraction of the filled sample, waiting for its task.
+  const SampleFraction& filled_fraction() const;
   static void save_result(CheckpointWriter& w, const core::PipelineResult& r);
   static void load_result(CheckpointReader& r, core::PipelineResult& out);
 
@@ -211,11 +222,18 @@ class StreamStudyState {
   SlidingWindowCounter window_raw_alerts_;
   SlidingWindowCounter window_admitted_;
 
-  // Table 2 compression sample: first kCompressionSampleLines lines.
+  // Table 2 compression sample: the first kCompressionSampleLines
+  // lines. While it fills, the text is kept here and a full snapshot
+  // compresses it (cached by size). The line that fills it moves the
+  // text into compression_task_, which computes the fraction on its
+  // own thread and frees the text; a full snapshot or save() waits for
+  // it. The future comes from std::async, so releasing it -- the state
+  // destroyed, or restored or moved over -- joins the task as well. A
+  // run that never fills the sample starts no thread.
   std::string compression_sample_;
   std::size_t sampled_lines_ = 0;
-  // Cache: fraction computed at a given sample size.
-  mutable std::optional<std::pair<std::size_t, double>> compression_cache_;
+  mutable std::future<SampleFraction> compression_task_;
+  mutable std::optional<SampleFraction> compression_cache_;
 };
 
 /// Lines sampled for the Table 2 compression fraction -- the same

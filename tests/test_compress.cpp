@@ -2,6 +2,8 @@
 // compressibility ordering that Table 2 relies on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "compress/codec.hpp"
 #include "compress/huffman.hpp"
 #include "compress/lzss.hpp"
@@ -288,6 +290,75 @@ TEST(Codec, StormLogsCompressBetterThanDiverseLogs) {
     diverse.push_back('\n');
   }
   EXPECT_LT(compression_fraction(storm), compression_fraction(diverse) / 4);
+}
+
+/// The first `lines` lines of a generated `system` log, each ending in
+/// '\n', as the Table 2 sample holds them.
+std::string generated_log(parse::SystemId system, std::uint64_t seed,
+                          std::size_t lines) {
+  sim::SimOptions opts;
+  opts.seed = seed;
+  opts.category_cap = 3000;
+  opts.chatter_events = 30000;
+  const sim::Simulator simulator(system, opts);
+  std::string log;
+  for (std::size_t k = 0; k < std::min(lines, simulator.events().size());
+       ++k) {
+    log += simulator.line(k);
+    log += '\n';
+  }
+  return log;
+}
+
+/// The size-only path must equal the bytes compress() builds, and the
+/// fraction must be the one those bytes give.
+void expect_size_matches_bytes(std::string_view in) {
+  const std::string packed = compress(in);
+  EXPECT_EQ(compressed_size(in), packed.size()) << in.size() << " bytes";
+  if (!in.empty()) {
+    EXPECT_EQ(compression_fraction(in),
+              static_cast<double>(packed.size()) /
+                  static_cast<double>(in.size()))
+        << in.size() << " bytes";
+  }
+}
+
+TEST(Codec, CompressedSizeEqualsCompressOnGeneratedLogs) {
+  for (const parse::SystemId system : parse::kAllSystems) {
+    for (const std::uint64_t seed : {1u, 7u, 42u}) {
+      const std::string log = generated_log(system, seed, 20000);
+      ASSERT_GT(std::count(log.begin(), log.end(), '\n'), 19999)
+          << parse::system_name(system);
+      for (const std::size_t lines : {0u, 1u, 7u, 500u, 20000u}) {
+        SCOPED_TRACE(testing::Message()
+                     << parse::system_name(system) << " seed " << seed
+                     << ", " << lines << " lines");
+        std::size_t cut = 0;
+        for (std::size_t k = 0; k < lines; ++k) {
+          cut = log.find('\n', cut) + 1;
+        }
+        expect_size_matches_bytes(std::string_view(log).substr(0, cut));
+      }
+    }
+  }
+}
+
+TEST(Codec, CompressedSizeEqualsCompressOnEdgeInputs) {
+  // Random bytes take the Huffman stage's raw fallback (a longer run
+  // would not: the all-literal flag bytes are one repeated symbol).
+  util::Rng rng(5);
+  std::string random;
+  for (int k = 0; k < 200; ++k) random.push_back(static_cast<char>(rng()));
+  // Byte 12, after the container header, is the Huffman form marker.
+  ASSERT_EQ(compress(random)[12], '\0') << "expected the raw form";
+  // Empty; one byte; one zero byte, whose token stream (flag 0, then
+  // literal 0) is a single symbol; a single-symbol input; a short
+  // period; random bytes.
+  for (const std::string& in :
+       {std::string(), std::string("a"), std::string(1, '\0'),
+        std::string(5000, 'z'), std::string("abcabcabcabcabc"), random}) {
+    expect_size_matches_bytes(in);
+  }
 }
 
 TEST(Codec, EmptyInput) {

@@ -392,7 +392,9 @@ TEST(SimdDifferential, FrameDecoderInvariantUnderChunking) {
 
 // A warm decoder allocates nothing: once its buffer has held the
 // longest line, feeding that line again in 1 KiB pieces (the worst
-// case: the carry grows on every feed) never touches the heap.
+// case: the carry grows on every feed) never touches the heap. The
+// buffer itself comes from realloc, which operator new does not see,
+// so its capacity must not change either.
 TEST(SimdDifferential, WarmFrameDecoderAllocatesNothing) {
   net::FrameDecoder decoder(net::Framing::kNewline, logio::kMaxLine);
   const std::string line(100000, 'y');
@@ -411,8 +413,10 @@ TEST(SimdDifferential, WarmFrameDecoderAllocatesNothing) {
   };
   feed_line();  // warm-up: the buffer grows to the line
   const std::uint64_t before = testing_util::allocations();
+  const std::size_t capacity = decoder.capacity();
   for (int round = 0; round < 5; ++round) feed_line();
   EXPECT_EQ(testing_util::allocations(), before);
+  EXPECT_EQ(decoder.capacity(), capacity);
   EXPECT_EQ(lines, 6u);
 }
 

@@ -7,8 +7,10 @@
 #include <sstream>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "sim/generator.hpp"
 #include "stream/pipeline.hpp"
+#include "stream/report.hpp"
 
 namespace wss {
 namespace {
@@ -250,6 +252,109 @@ TEST(StreamCheckpoint, PredictStateRoundTripsMidTrainingAndPostFit) {
   }
 }
 
+// ---- The Table 2 compression sample across the checkpoint ----
+
+/// `wss stream --in --predict`'s engine options.
+stream::StreamPipelineOptions predicting_file_mode() {
+  stream::StreamPipelineOptions popts;
+  popts.strict_order = false;
+  popts.predict.enabled = true;
+  return popts;
+}
+
+std::vector<std::string> generated_lines(parse::SystemId system,
+                                         std::uint64_t cap,
+                                         std::uint64_t chatter) {
+  sim::SimOptions opts;
+  opts.seed = 1;
+  opts.category_cap = cap;
+  opts.chatter_events = chatter;
+  const sim::Simulator simulator(system, opts);
+  std::vector<std::string> lines;
+  simulator.for_each_line(
+      [&](std::string_view l) { lines.emplace_back(l); });
+  return lines;
+}
+
+TEST(StreamCheckpoint, CutsAroundTheSampleFillRestoreTheUninterruptedReport) {
+  // Before the fill the sample's text crosses the checkpoint; on the
+  // filling line its compression task has just started, and save()
+  // must wait for it; long after, only its size and fraction cross.
+  constexpr std::size_t kFill = stream::kCompressionSampleLines;
+  for (const parse::SystemId system : parse::kAllSystems) {
+    SCOPED_TRACE(parse::system_name(system));
+    const std::vector<std::string> lines =
+        generated_lines(system, 3000, 30000);
+    ASSERT_GT(lines.size(), kFill + 5000);
+    const auto popts = predicting_file_mode();
+
+    stream::StreamPipeline uninterrupted(system, popts);
+    for (const auto& l : lines) uninterrupted.ingest_line(l);
+    uninterrupted.finish();
+    const stream::StreamSnapshot expected = uninterrupted.snapshot();
+    ASSERT_TRUE(expected.compressed_fraction);
+
+    std::size_t sample_bytes = 0;
+    for (std::size_t i = 0; i < kFill - 1; ++i) {
+      sample_bytes += lines[i].size() + 1;
+    }
+    for (const std::size_t cut :
+         {kFill - 1, kFill, kFill + 1, lines.size() - 100}) {
+      SCOPED_TRACE(testing::Message() << "cut after line " << cut);
+      stream::StreamPipeline first(system, popts);
+      for (std::size_t i = 0; i < cut; ++i) first.ingest_line(lines[i]);
+      std::stringstream checkpoint;
+      first.save(checkpoint);
+      // The text is 1-3 MB; everything else is a few tens of kB.
+      if (cut < kFill) {
+        EXPECT_GT(checkpoint.str().size(), sample_bytes);
+      } else {
+        EXPECT_LT(checkpoint.str().size(), sample_bytes / 10);
+      }
+
+      stream::StreamPipeline resumed(system, popts);
+      resumed.restore(checkpoint);
+      for (std::size_t i = cut; i < lines.size(); ++i) {
+        resumed.ingest_line(lines[i]);
+      }
+      resumed.finish();
+      const stream::StreamSnapshot got = resumed.snapshot();
+      expect_snapshots_identical(got, expected);
+      EXPECT_EQ(stream::render_snapshot(got),
+                stream::render_snapshot(expected));
+    }
+  }
+}
+
+TEST(StreamCheckpoint, OnlyTheFillingLineStartsTheCompression) {
+  // Every compression observes wss_stream_compression_seconds, and
+  // save() waits for a running one. So a count unchanged after a save
+  // means no compression task was started.
+  constexpr std::size_t kFill = stream::kCompressionSampleLines;
+  const std::vector<std::string> lines =
+      generated_lines(parse::SystemId::kLiberty, 3000, 30000);
+  ASSERT_GT(lines.size(), kFill);
+  const obs::Histogram& compressions = obs::registry().histogram(
+      "wss_stream_compression_seconds", obs::latency_bounds_seconds());
+  const std::uint64_t before = compressions.count();
+
+  stream::StreamPipeline pipeline(parse::SystemId::kLiberty,
+                                  predicting_file_mode());
+  for (std::size_t i = 0; i + 1 < kFill; ++i) pipeline.ingest_line(lines[i]);
+  std::stringstream filling;
+  pipeline.save(filling);
+  EXPECT_FALSE(pipeline.snapshot(stream::SnapshotScope::kStatus)
+                   .compressed_fraction);
+  EXPECT_EQ(compressions.count(), before);
+
+  pipeline.ingest_line(lines[kFill - 1]);
+  std::stringstream filled;
+  pipeline.save(filled);
+  EXPECT_EQ(compressions.count(), before + 1);
+  EXPECT_TRUE(pipeline.snapshot().compressed_fraction);
+  EXPECT_EQ(compressions.count(), before + 1);
+}
+
 TEST(StreamCheckpoint, PredictDisabledRoundTripStaysDisabled) {
   stream::StreamPipeline p(parse::SystemId::kLiberty);
   std::stringstream checkpoint;
@@ -264,8 +369,9 @@ TEST(StreamCheckpoint, RejectsV2WithUpgradeDiagnostic) {
   std::stringstream checkpoint;
   p.save(checkpoint);
   // v2 is a pre-prediction build's file, v3 one without the trailer,
-  // v4 one with episode-miner state: all get the same one-line cure.
-  for (const int old_version : {2, 3, 4}) {
+  // v4 one with episode-miner state, v5 one that carries the Table 2
+  // sample's text: all get the same one-line cure.
+  for (const int old_version : {2, 3, 4, 5}) {
     SCOPED_TRACE(old_version);
     std::string bytes = checkpoint.str();
     // The header is magic(u32 LE) then version(u32 LE): rewrite the
@@ -285,7 +391,9 @@ TEST(StreamCheckpoint, RejectsV2WithUpgradeDiagnostic) {
                           std::to_string(old_version)),
                 std::string::npos)
           << what;
-      EXPECT_NE(what.find("v5"), std::string::npos) << what;
+      EXPECT_NE(what.find("v" + std::to_string(stream::kCheckpointVersion)),
+                std::string::npos)
+          << what;
       EXPECT_NE(what.find("regenerate"), std::string::npos) << what;
       EXPECT_EQ(what.find('\n'), std::string::npos) << what;
     }

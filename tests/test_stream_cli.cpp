@@ -236,6 +236,17 @@ TEST_F(StreamCliTest, StatusTicksDoNotRecompressTheSample) {
   EXPECT_GE(plain_runs, 1u);
   EXPECT_EQ(ticking_runs, plain_runs) << ticks << " status lines";
 
+  // Past the sample's fill, the line that fills it starts the one
+  // compression; ticks and the report only read its result.
+  const auto long_log = (dir_ / "long.txt").string();
+  ASSERT_EQ(run_tokens({"generate", "--system", "liberty", "--out", long_log,
+                        "--cap", "3000", "--chatter", "30000"}),
+            0);
+  ASSERT_GT(file_lines(long_log).size(), stream::kCompressionSampleLines);
+  EXPECT_EQ(counted({"stream", "--system", "liberty", "--in", long_log,
+                     "--refresh", "1000"}),
+            1u);
+
   // The status scope leaves the fraction unset; the report computes it.
   stream::StreamPipelineOptions popts;
   popts.strict_order = false;

@@ -42,10 +42,13 @@ void expect_steady_state_allocates_per_chunk_only(parse::SystemId system) {
 
   // Warm-up: grows every buffer to its high-water mark, builds every
   // DFA state, interns every source this corpus has and fills the
-  // bounded compression sample (the log's first lines).
+  // bounded compression sample (the log's first lines). The filled
+  // sample is compressed once, on its own thread; the full snapshot
+  // waits for that, so its allocations are not counted as ingest's.
   do {
     for (const std::string& line : lines) pipeline.ingest_line(line);
   } while (pipeline.events() < kCompressionSampleLines);
+  ASSERT_TRUE(pipeline.snapshot().compressed_fraction);
   const std::uint64_t merges_before =
       pipeline.events() / opts.study.chunk_events;
 

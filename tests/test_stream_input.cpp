@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "cli/commands.hpp"
+#include "logio/input.hpp"
 #include "util/file.hpp"
 
 namespace wss::cli {
@@ -54,6 +55,28 @@ constexpr bool kHwmIsTheProgram = true;
 constexpr bool kHwmIsTheProgram = true;
 #endif
 constexpr std::size_t kInputBytes = std::size_t{4} * kBoundKb * 1024;
+/// The long-line test's tighter bound: one line buffer of the bound
+/// plus 4 MiB. A buffer that doubled past the bound while the old one
+/// was still held rose by about twice the bound.
+constexpr long kLongLineBoundKb =
+    static_cast<long>(logio::kMaxLine / 1024) + 4 * 1024;
+
+/// The tighter bound counts on glibc's realloc, which remaps a large
+/// block instead of copying it. AddressSanitizer's allocator copies on
+/// every realloc and keeps freed blocks in quarantine, so under it the
+/// rise is the allocator's (17 MB for this test), and only the 24 MiB
+/// bound is checked.
+#if defined(__SANITIZE_ADDRESS__)
+constexpr bool kReallocRemaps = false;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+constexpr bool kReallocRemaps = false;
+#else
+constexpr bool kReallocRemaps = true;
+#endif
+#else
+constexpr bool kReallocRemaps = true;
+#endif
 
 Args make_args(const std::vector<std::string>& tokens) {
   std::vector<const char*> argv = {"wss"};
@@ -187,9 +210,10 @@ class StreamInputTest : public ::testing::Test {
     return false;
   }
 
-  /// Checks the child's rss.txt: peak RSS rose by less than kBoundKb
+  /// Checks the child's rss.txt: peak RSS rose by less than `bound_kb`
   /// over `input_bytes` of input, and the run printed its report.
-  void expect_rise_under_bound(std::size_t input_bytes);
+  void expect_rise_under_bound(std::size_t input_bytes,
+                               long bound_kb = kBoundKb);
 
   std::string child_out() const {
     return util::read_file((dir_ / "out.txt").string());
@@ -198,13 +222,14 @@ class StreamInputTest : public ::testing::Test {
   fs::path dir_;
 };
 
-void StreamInputTest::expect_rise_under_bound(std::size_t input_bytes) {
+void StreamInputTest::expect_rise_under_bound(std::size_t input_bytes,
+                                              long bound_kb) {
   long rss_start = -1;
   long hwm_end = -1;
   std::ifstream(dir_ / "rss.txt") >> rss_start >> hwm_end;
   ASSERT_GT(rss_start, 0);
   ASSERT_GT(hwm_end, 0);
-  EXPECT_LT(hwm_end - rss_start, kBoundKb)
+  EXPECT_LT(hwm_end - rss_start, bound_kb)
       << "peak RSS rose by " << (hwm_end - rss_start) << " kB on "
       << input_bytes / 1024 << " kB of input";
   EXPECT_NE(child_out().find(" (final): "), std::string::npos);
@@ -396,7 +421,7 @@ TEST_F(StreamInputTest, FilePeakRssStaysUnderABound) {
 
 // A 64 MB line with no newline between ordinary lines on stdin: the
 // reader holds at most logio::kMaxLine of it, so peak RSS still rises
-// by less than the bound. The line is skipped and counted once, and
+// by less than the bound, and by less than kMaxLine + 4 MiB. The line is skipped and counted once, and
 // the lines on both sides are ingested: the report is the one of the
 // log without it. A checkpoint taken after the long line and a
 // --restore, which re-reads it in the resume skip, still count it once.
@@ -428,6 +453,10 @@ TEST_F(StreamInputTest, LongLineIsSkippedAndCountedWithinTheBound) {
   ASSERT_EQ(reap(pid, std::chrono::seconds(300)), 0);
   if (kHwmIsTheProgram) {
     expect_rise_under_bound(text.size() + kSlabs * slab.size());
+  }
+  if (kHwmIsTheProgram && kReallocRemaps) {
+    expect_rise_under_bound(text.size() + kSlabs * slab.size(),
+                            kLongLineBoundKb);
   }
   EXPECT_EQ(child_out(), expected);
   EXPECT_EQ(prom_counter(stdin_prom, oversized), 1);
