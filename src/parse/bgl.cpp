@@ -5,17 +5,24 @@
 
 namespace wss::parse {
 
+namespace {
+
+constexpr auto kLocationBytes =
+    util::byte_set("ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789-:");
+
+}  // namespace
+
 bool plausible_bgl_location(std::string_view s) {
   // Location codes are 'R' + rack digits, then dash-separated
   // components of uppercase letters and digits, optionally with a
   // ':'-separated chip part: R02-M1-N0-C:J12-U11.
   if (s.size() < 3 || s.size() > 40 || s[0] != 'R') return false;
-  for (char c : s) {
-    const bool ok = (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9') ||
-                    c == '-' || c == ':';
-    if (!ok) return false;
+  bool dash = false;
+  for (const char c : s) {
+    if (!kLocationBytes[static_cast<unsigned char>(c)]) return false;
+    dash |= c == '-';
   }
-  return s.find('-') != std::string_view::npos;
+  return dash;
 }
 
 void parse_bgl_line_into(std::string_view line, LogRecord& rec,

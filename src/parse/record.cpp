@@ -76,19 +76,26 @@ std::string_view severity_syslog_name(Severity s) {
 }
 
 std::optional<Severity> parse_severity(std::string_view s) {
-  using util::iequals;
-  if (iequals(s, "DEBUG")) return Severity::kDebug;
-  if (iequals(s, "INFO")) return Severity::kInfo;
-  if (iequals(s, "NOTICE")) return Severity::kNotice;
-  if (iequals(s, "WARNING") || iequals(s, "WARN")) return Severity::kWarning;
-  if (iequals(s, "ERROR") || iequals(s, "ERR")) return Severity::kError;
-  if (iequals(s, "SEVERE")) return Severity::kSevere;
-  if (iequals(s, "CRIT") || iequals(s, "CRITICAL")) return Severity::kCrit;
-  if (iequals(s, "ALERT")) return Severity::kAlert;
-  if (iequals(s, "EMERG") || iequals(s, "PANIC")) return Severity::kEmerg;
-  if (iequals(s, "FAILURE")) return Severity::kFailure;
-  if (iequals(s, "FATAL")) return Severity::kFatal;
-  return std::nullopt;
+  using util::fold_key;
+  if (s.size() > 8) return std::nullopt;  // no spelling is longer
+  switch (fold_key(s)) {
+    case fold_key("debug"): return Severity::kDebug;
+    case fold_key("info"): return Severity::kInfo;
+    case fold_key("notice"): return Severity::kNotice;
+    case fold_key("warning"):
+    case fold_key("warn"): return Severity::kWarning;
+    case fold_key("error"):
+    case fold_key("err"): return Severity::kError;
+    case fold_key("severe"): return Severity::kSevere;
+    case fold_key("crit"):
+    case fold_key("critical"): return Severity::kCrit;
+    case fold_key("alert"): return Severity::kAlert;
+    case fold_key("emerg"):
+    case fold_key("panic"): return Severity::kEmerg;
+    case fold_key("failure"): return Severity::kFailure;
+    case fold_key("fatal"): return Severity::kFatal;
+    default: return std::nullopt;
+  }
 }
 
 }  // namespace wss::parse

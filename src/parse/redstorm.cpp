@@ -8,6 +8,25 @@ namespace wss::parse {
 
 namespace {
 
+constexpr auto kNodeBytes =
+    util::byte_set("abcdefghijklmnopqrstuvwxyz0123456789-_");
+
+/// The first whitespace-delimited field of `s` that starts with
+/// "src:::", without that prefix; nullopt if there is none. The search
+/// stops at that field: nothing past it is read.
+std::optional<std::string_view> src_field(std::string_view s) {
+  constexpr std::string_view kSrc = "src:::";
+  for (std::size_t at = s.find(kSrc); at != std::string_view::npos;
+       at = s.find(kSrc, at + 1)) {
+    if (at != 0 && !util::is_space(s[at - 1])) continue;  // mid-field
+    const std::size_t begin = at + kSrc.size();
+    std::size_t end = begin;
+    while (end < s.size() && !util::is_space(s[end])) ++end;
+    return s.substr(begin, end - begin);
+  }
+  return std::nullopt;
+}
+
 /// Parses the RAS event-router shape; returns false if `line` is not
 /// that shape (caller falls back to syslog). Expects a freshly reset
 /// `rec`.
@@ -19,28 +38,23 @@ bool parse_event_router(std::string_view line, LogRecord& rec,
   rec.time = *t;
   rec.timestamp_valid = true;
 
-  util::split_fields(line.substr(19), scratch.fields);
-  const auto& fields = scratch.fields;
-  if (fields.empty()) {
+  const std::string_view rest = line.substr(19);
+  util::split_fields(rest, scratch.fields, 1);
+  if (scratch.fields.empty()) {
     rec.source_corrupted = true;
     return true;
   }
-  rec.program = fields[0];  // event class, e.g. ec_heartbeat_stop
-  bool have_src = false;
-  for (const auto f : fields) {
-    if (util::starts_with(f, "src:::")) {
-      const std::string_view node = f.substr(6);
-      if (plausible_redstorm_node(node)) {
-        rec.source = node;
-        have_src = true;
-      }
-      break;
-    }
+  const std::string_view event_class = scratch.fields[0];
+  rec.program = event_class;  // e.g. ec_heartbeat_stop
+  const auto node = src_field(rest);
+  if (node && plausible_redstorm_node(*node)) {
+    rec.source = *node;
+  } else {
+    rec.source_corrupted = true;
   }
-  if (!have_src) rec.source_corrupted = true;
 
   // Body: everything after the event-class token.
-  const char* body_start = fields[0].data() + fields[0].size();
+  const char* body_start = event_class.data() + event_class.size();
   const auto offset = static_cast<std::size_t>(body_start - line.data());
   rec.body = util::trim(line.substr(offset));
   return true;
@@ -49,15 +63,14 @@ bool parse_event_router(std::string_view line, LogRecord& rec,
 }  // namespace
 
 bool plausible_redstorm_node(std::string_view s) {
-  if (s.empty() || s.size() > 32) return false;
   // Cray node ids: c<col>-<row>c<cage>s<slot>n<cpu>; also plain admin
-  // hostnames (login1, smw, ddn1, ...).
-  for (char c : s) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') ||
-                    c == '-' || c == '_';
-    if (!ok) return false;
+  // hostnames (login1, smw, ddn1, ...). Both start with a lowercase
+  // letter.
+  if (s.empty() || s.size() > 32 || s[0] < 'a' || s[0] > 'z') return false;
+  for (const char c : s) {
+    if (!kNodeBytes[static_cast<unsigned char>(c)]) return false;
   }
-  return (s[0] >= 'a' && s[0] <= 'z');
+  return true;
 }
 
 void parse_redstorm_line_into(std::string_view line, int base_year,

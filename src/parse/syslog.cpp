@@ -7,18 +7,19 @@ namespace wss::parse {
 
 namespace {
 
-bool is_alnum(char c) {
-  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-         (c >= '0' && c <= '9');
-}
+constexpr auto kHostBytes = util::byte_set(
+    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789._-");
 
 }  // namespace
 
 bool plausible_hostname(std::string_view s) {
-  if (s.empty() || s.size() > 64) return false;
-  if (!is_alnum(s[0])) return false;
-  for (char c : s) {
-    if (!is_alnum(c) && c != '.' && c != '_' && c != '-') return false;
+  // Letters, digits, '.', '_' and '-', starting with a letter or digit.
+  if (s.empty() || s.size() > 64 || s[0] == '.' || s[0] == '_' ||
+      s[0] == '-') {
+    return false;
+  }
+  for (const char c : s) {
+    if (!kHostBytes[static_cast<unsigned char>(c)]) return false;
   }
   return true;
 }

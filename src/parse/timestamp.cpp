@@ -6,23 +6,47 @@ namespace wss::parse {
 
 namespace {
 
-/// Parses exactly `n` decimal digits starting at `pos`; advances pos.
-std::optional<int> digits(std::string_view s, std::size_t& pos, int n) {
-  if (pos + static_cast<std::size_t>(n) > s.size()) return std::nullopt;
-  int v = 0;
-  for (int i = 0; i < n; ++i) {
-    const char c = s[pos + static_cast<std::size_t>(i)];
-    if (c < '0' || c > '9') return std::nullopt;
-    v = v * 10 + (c - '0');
+/// The value of the `N` decimal digits at `p`, or -1 if one of them is
+/// not a digit. The loop has a constant trip count, so it unrolls.
+template <int N>
+int digit_run(const char* p) {
+  unsigned v = 0;
+  unsigned bad = 0;
+  for (int i = 0; i < N; ++i) {
+    const unsigned d = static_cast<unsigned char>(p[i]) - unsigned{'0'};
+    bad |= static_cast<unsigned>(d > 9);
+    v = v * 10 + d;
   }
-  pos += static_cast<std::size_t>(n);
-  return v;
+  return bad != 0 ? -1 : static_cast<int>(v);
 }
 
-bool expect(std::string_view s, std::size_t& pos, char c) {
-  if (pos >= s.size() || s[pos] != c) return false;
-  ++pos;
-  return true;
+/// "YYYY-MM-DD" then `sep`, the head that the BG/L and ISO stamps share;
+/// `s` has at least 11 bytes. False on a misplaced separator or a
+/// non-digit.
+bool parse_date(std::string_view s, char sep, util::CivilTime& ct) {
+  if (s[4] != '-' || s[7] != '-' || s[10] != sep) return false;
+  ct.year = digit_run<4>(s.data());
+  ct.month = digit_run<2>(s.data() + 5);
+  ct.day = digit_run<2>(s.data() + 8);
+  return (ct.year | ct.month | ct.day) >= 0;
+}
+
+/// "HH<sep>MM<sep>SS" at `p`, which has at least 8 bytes.
+bool parse_clock(const char* p, char sep, util::CivilTime& ct) {
+  if (p[2] != sep || p[5] != sep) return false;
+  ct.hour = digit_run<2>(p);
+  ct.minute = digit_run<2>(p + 3);
+  ct.second = digit_run<2>(p + 6);
+  return (ct.hour | ct.minute | ct.second) >= 0;
+}
+
+/// The stamp's time, or nullopt if its fields are out of range.
+std::optional<util::TimeUs> checked_time(const util::CivilTime& ct) {
+  if (!civil_fields_valid(ct.year, ct.month, ct.day, ct.hour, ct.minute,
+                          ct.second)) {
+    return std::nullopt;
+  }
+  return util::to_time_us(ct);
 }
 
 }  // namespace
@@ -41,99 +65,38 @@ bool civil_fields_valid(int year, int month, int day, int hour, int minute,
 std::optional<util::TimeUs> parse_syslog_timestamp(std::string_view s,
                                                    int base_year) {
   // "Mon dd HH:MM:SS" -- dd may be space-padded ("Jun  3").
-  if (s.size() < 15) return std::nullopt;
-  const int month = util::parse_month_abbrev(s.substr(0, 3));
-  if (month == 0) return std::nullopt;
-  std::size_t pos = 3;
-  if (!expect(s, pos, ' ')) return std::nullopt;
-  int day = 0;
-  if (s[pos] == ' ') {
-    ++pos;
-    const auto d = digits(s, pos, 1);
-    if (!d) return std::nullopt;
-    day = *d;
-  } else {
-    const auto d = digits(s, pos, 2);
-    if (!d) return std::nullopt;
-    day = *d;
-  }
-  if (!expect(s, pos, ' ')) return std::nullopt;
-  const auto hour = digits(s, pos, 2);
-  if (!hour || !expect(s, pos, ':')) return std::nullopt;
-  const auto minute = digits(s, pos, 2);
-  if (!minute || !expect(s, pos, ':')) return std::nullopt;
-  const auto second = digits(s, pos, 2);
-  if (!second) return std::nullopt;
-  if (!civil_fields_valid(base_year, month, day, *hour, *minute, *second)) {
-    return std::nullopt;
-  }
+  if (s.size() < 15 || s[3] != ' ' || s[6] != ' ') return std::nullopt;
   util::CivilTime ct;
   ct.year = base_year;
-  ct.month = month;
-  ct.day = day;
-  ct.hour = *hour;
-  ct.minute = *minute;
-  ct.second = *second;
-  return util::to_time_us(ct);
+  ct.month = util::parse_month_abbrev(s);
+  ct.day = s[4] == ' ' ? digit_run<1>(s.data() + 5)
+                       : digit_run<2>(s.data() + 4);
+  if (ct.month == 0 || ct.day < 0 || !parse_clock(s.data() + 7, ':', ct)) {
+    return std::nullopt;
+  }
+  return checked_time(ct);
 }
 
 std::optional<util::TimeUs> parse_bgl_timestamp(std::string_view s) {
   // "YYYY-MM-DD-HH.MM.SS.ffffff"
-  std::size_t pos = 0;
-  const auto year = digits(s, pos, 4);
-  if (!year || !expect(s, pos, '-')) return std::nullopt;
-  const auto month = digits(s, pos, 2);
-  if (!month || !expect(s, pos, '-')) return std::nullopt;
-  const auto day = digits(s, pos, 2);
-  if (!day || !expect(s, pos, '-')) return std::nullopt;
-  const auto hour = digits(s, pos, 2);
-  if (!hour || !expect(s, pos, '.')) return std::nullopt;
-  const auto minute = digits(s, pos, 2);
-  if (!minute || !expect(s, pos, '.')) return std::nullopt;
-  const auto second = digits(s, pos, 2);
-  if (!second || !expect(s, pos, '.')) return std::nullopt;
-  const auto micros = digits(s, pos, 6);
-  if (!micros) return std::nullopt;
-  if (!civil_fields_valid(*year, *month, *day, *hour, *minute, *second)) {
+  util::CivilTime ct;
+  if (s.size() < 26 || s[19] != '.' || !parse_date(s, '-', ct) ||
+      !parse_clock(s.data() + 11, '.', ct)) {
     return std::nullopt;
   }
-  util::CivilTime ct;
-  ct.year = *year;
-  ct.month = *month;
-  ct.day = *day;
-  ct.hour = *hour;
-  ct.minute = *minute;
-  ct.second = *second;
-  ct.micros = *micros;
-  return util::to_time_us(ct);
+  ct.micros = digit_run<6>(s.data() + 20);
+  if (ct.micros < 0) return std::nullopt;
+  return checked_time(ct);
 }
 
 std::optional<util::TimeUs> parse_iso_timestamp(std::string_view s) {
   // "YYYY-MM-DD HH:MM:SS"
-  std::size_t pos = 0;
-  const auto year = digits(s, pos, 4);
-  if (!year || !expect(s, pos, '-')) return std::nullopt;
-  const auto month = digits(s, pos, 2);
-  if (!month || !expect(s, pos, '-')) return std::nullopt;
-  const auto day = digits(s, pos, 2);
-  if (!day || !expect(s, pos, ' ')) return std::nullopt;
-  const auto hour = digits(s, pos, 2);
-  if (!hour || !expect(s, pos, ':')) return std::nullopt;
-  const auto minute = digits(s, pos, 2);
-  if (!minute || !expect(s, pos, ':')) return std::nullopt;
-  const auto second = digits(s, pos, 2);
-  if (!second) return std::nullopt;
-  if (!civil_fields_valid(*year, *month, *day, *hour, *minute, *second)) {
+  util::CivilTime ct;
+  if (s.size() < 19 || !parse_date(s, ' ', ct) ||
+      !parse_clock(s.data() + 11, ':', ct)) {
     return std::nullopt;
   }
-  util::CivilTime ct;
-  ct.year = *year;
-  ct.month = *month;
-  ct.day = *day;
-  ct.hour = *hour;
-  ct.minute = *minute;
-  ct.second = *second;
-  return util::to_time_us(ct);
+  return checked_time(ct);
 }
 
 }  // namespace wss::parse

@@ -5,6 +5,14 @@
 // granularity (Section 3.1). Parsers are corruption-tolerant: they
 // return nullopt instead of throwing, because corrupted timestamps are
 // one of the corruption modes the paper documents.
+//
+// Each stamp has a fixed layout, so each parser decodes it in one
+// pass: it checks the length first, then the separator bytes at their
+// fixed offsets, then reads each digit run with no per-digit bounds
+// check. Bytes past the stamp are ignored (callers hand in the stamp's
+// field or a longer prefix of the line). A stamp is rejected when it
+// is short, when a separator or digit is wrong, or when a field is out
+// of range (civil_fields_valid); nothing else rejects it.
 #pragma once
 
 #include <optional>

@@ -2,7 +2,6 @@
 
 #include <cctype>
 #include <cerrno>
-#include <array>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -10,19 +9,6 @@
 namespace wss::util {
 
 namespace {
-
-bool is_space(char c) {
-  return c == ' ' || c == '\t' || c == '\n' || c == '\r' || c == '\f' ||
-         c == '\v';
-}
-
-// The same six bytes as is_space(), as a 256-entry table: the field
-// split's two inner loops are one load and one branch per byte.
-constexpr std::array<bool, 256> kSpaceTable = [] {
-  std::array<bool, 256> t{};
-  for (const unsigned char c : {' ', '\t', '\n', '\r', '\f', '\v'}) t[c] = true;
-  return t;
-}();
 
 char ascii_lower(char c) {
   return (c >= 'A' && c <= 'Z') ? char(c - 'A' + 'a') : c;
@@ -66,10 +52,10 @@ void split_fields(std::string_view s, std::vector<std::string_view>& out,
   const auto* p = reinterpret_cast<const unsigned char*>(s.data());
   const auto* const end = p + s.size();
   while (out.size() < max_fields) {
-    while (p != end && kSpaceTable[*p]) ++p;
+    while (p != end && kSpaceBytes[*p]) ++p;
     if (p == end) break;
     const auto* const start = p;
-    while (p != end && !kSpaceTable[*p]) ++p;
+    while (p != end && !kSpaceBytes[*p]) ++p;
     out.emplace_back(reinterpret_cast<const char*>(start),
                      static_cast<std::size_t>(p - start));
   }

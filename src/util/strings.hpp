@@ -5,6 +5,7 @@
 // return type requires it.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -13,6 +14,38 @@
 #include <vector>
 
 namespace wss::util {
+
+/// A 256-entry membership table of `members`' bytes: a loop that
+/// classifies bytes pays one load and one branch per byte.
+constexpr std::array<bool, 256> byte_set(std::string_view members) {
+  std::array<bool, 256> t{};
+  for (const char c : members) t[static_cast<unsigned char>(c)] = true;
+  return t;
+}
+
+/// The six ASCII whitespace bytes that trim() and split_fields() cut on.
+inline constexpr std::array<bool, 256> kSpaceBytes = byte_set(" \t\n\r\f\v");
+
+/// True if `c` is one of kSpaceBytes.
+constexpr bool is_space(char c) {
+  return kSpaceBytes[static_cast<unsigned char>(c)];
+}
+
+/// `s` packed first byte lowest into an integer, with bit 5 set in every
+/// byte. That folds ASCII letters to lower case and makes no other byte
+/// a letter, and no packed byte is zero, so the length is part of the
+/// key: for an all-letter `word` of at most 8 bytes and an `s` of at
+/// most 8, `fold_key(s) == fold_key(word)` exactly when
+/// `iequals(s, word)`. A `switch` over fold_key() constants looks a
+/// word up in one pass. Bytes past the 8th are not packed, so callers
+/// reject longer input first.
+constexpr std::uint64_t fold_key(std::string_view s) {
+  std::uint64_t key = 0;
+  for (std::size_t i = 0; i < s.size() && i < 8; ++i) {
+    key |= std::uint64_t{static_cast<unsigned char>(s[i]) | 0x20u} << (8 * i);
+  }
+  return key;
+}
 
 /// Removes leading and trailing ASCII whitespace.
 std::string_view trim(std::string_view s);

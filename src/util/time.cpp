@@ -13,8 +13,6 @@ constexpr std::array<std::string_view, 12> kMonths = {
     "Jan", "Feb", "Mar", "Apr", "May", "Jun",
     "Jul", "Aug", "Sep", "Oct", "Nov", "Dec"};
 
-char lower(char c) { return (c >= 'A' && c <= 'Z') ? char(c - 'A' + 'a') : c; }
-
 /// "YYYY-MM-DD" followed by `sep`, shared by the BG/L and ISO stamps.
 /// Years are 1..9999 (the range this header supports).
 void append_date(const CivilTime& ct, char sep, std::string& out) {
@@ -99,14 +97,21 @@ std::string_view month_abbrev(int month) {
 
 int parse_month_abbrev(std::string_view s) {
   if (s.size() < 3) return 0;
-  for (int m = 1; m <= 12; ++m) {
-    const std::string_view ref = kMonths[static_cast<std::size_t>(m - 1)];
-    if (lower(s[0]) == lower(ref[0]) && lower(s[1]) == lower(ref[1]) &&
-        lower(s[2]) == lower(ref[2])) {
-      return m;
-    }
+  switch (fold_key(s.substr(0, 3))) {
+    case fold_key("jan"): return 1;
+    case fold_key("feb"): return 2;
+    case fold_key("mar"): return 3;
+    case fold_key("apr"): return 4;
+    case fold_key("may"): return 5;
+    case fold_key("jun"): return 6;
+    case fold_key("jul"): return 7;
+    case fold_key("aug"): return 8;
+    case fold_key("sep"): return 9;
+    case fold_key("oct"): return 10;
+    case fold_key("nov"): return 11;
+    case fold_key("dec"): return 12;
+    default: return 0;
   }
-  return 0;
 }
 
 void append_syslog(TimeUs t, std::string& out) {

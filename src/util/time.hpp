@@ -54,8 +54,9 @@ CivilTime to_civil(TimeUs t);
 /// `month` is 1-based; out-of-range returns "???".
 std::string_view month_abbrev(int month);
 
-/// Parses a three-letter month abbreviation (case-insensitive).
-/// Returns 1..12, or 0 if unrecognized.
+/// Parses a three-letter month abbreviation (case-insensitive) from
+/// the first three bytes of `s`; later bytes are ignored. Returns
+/// 1..12, or 0 if unrecognized.
 int parse_month_abbrev(std::string_view s);
 
 /// Appends a syslog stamp: "Jan  2 03:04:05" (day space-padded, no

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
+#include <malloc.h>
 #include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -158,7 +159,11 @@ class StreamInputTest : public ::testing::Test {
   /// to err.txt. With `stdin_fd` >= 0 the child reads that descriptor
   /// as stdin; `close_fd` is closed in the child (a pipe's write end).
   /// The child writes its VmRSS at start and VmHWM at exit, in kB, to
-  /// rss.txt.
+  /// rss.txt. It first pins glibc's mmap threshold at its 128 KiB
+  /// default: the child inherits the allocator state of the tests
+  /// that ran before it in this process, and a threshold their frees
+  /// had raised would serve its large buffers from the heap, so its
+  /// rise would measure them too.
   pid_t spawn(const std::vector<std::string>& tokens, int stdin_fd = -1,
               int close_fd = -1) {
     const Args args = make_args(tokens);
@@ -167,6 +172,7 @@ class StreamInputTest : public ::testing::Test {
     const std::string rss_path = (dir_ / "rss.txt").string();
     const pid_t pid = ::fork();
     if (pid != 0) return pid;
+    ::mallopt(M_MMAP_THRESHOLD, 128 * 1024);
     const long rss_start = status_kb("VmRSS");
     if (close_fd >= 0) ::close(close_fd);
     if (stdin_fd >= 0) ::dup2(stdin_fd, 0);

@@ -3,12 +3,16 @@
 #
 #   tools/bench_gate.sh BASE_TREE HEAD_TREE OUT_DIR
 #
-# Builds wss_bench from each tree (each compiles its own src/), runs 5
+# Builds wss_bench from each tree (each compiles its own src/), runs 10
 # alternating pairs of 5 s runs of every workload BENCHMARK.json lists
 # -- the side that goes first swaps every pair -- and prints
-# `wss_bench compare` under HEAD_TREE's BENCHMARK.json bounds. Exits 1
-# if any row's verdict is `regressed` or any run fails its own checks
-# (`compare` itself always exits 0). Against the parent commit:
+# `wss_bench compare` under HEAD_TREE's BENCHMARK.json bounds. Ten is
+# the fewest pairs on which `compare` can call a metric `improved`
+# (head wins at least 9 of 10); with fewer it can only say `regressed`
+# or that the change is within the spread. A gate takes about 10 min
+# on 4 vCPUs. Exits 1 if any row's verdict is `regressed` or any run
+# fails its own checks (`compare` itself always exits 0). Against the
+# parent commit:
 #
 #   git worktree add /tmp/wss-base HEAD~1
 #   tools/bench_gate.sh /tmp/wss-base . /tmp/wss-gate
@@ -37,7 +41,7 @@ print(" ".join(w["name"] for w in json.load(open(sys.argv[1]))["workloads"]))' \
   "$bounds")
 rm -f "$out/base.jsonl" "$out/head.jsonl"
 for w in $workloads; do
-  for ((i = 0; i < 5; i++)); do
+  for ((i = 0; i < 10; i++)); do
     order="base head"
     ((i % 2)) && order="head base"
     for side in $order; do
