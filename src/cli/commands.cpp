@@ -30,6 +30,7 @@
 #include "net/signal.hpp"
 #include "net/url.hpp"
 #include "sim/replay.hpp"
+#include "stream/file_ingest.hpp"
 #include "stream/pipeline.hpp"
 #include "stream/report.hpp"
 #include "util/file.hpp"
@@ -171,19 +172,12 @@ class SignalDrain {
 
 /// Reads `reader` to its end through `decoder` and calls on_line(line)
 /// for each line it cuts, the unterminated tail last. Each read() lands
-/// in the decoder's buffer, so resident input is one bounded buffer and
-/// a live pipe is consumed as it is written. on_line returns false to
-/// stop; `stopped()` is tested before every read, not only before
-/// every line, so a drain signal that lands while the last line of a
-/// read is handled does not leave the caller blocked on an idle pipe
-/// (a signal during the read() itself interrupts it). Returns true when
-/// the input ended, false when stopped.
-template <typename Stop, typename OnLine>
-bool read_lines(logio::ChunkReader& reader, net::FrameDecoder& decoder,
-                Stop&& stopped, OnLine&& on_line) {
+/// in the decoder's buffer, so resident input is one bounded buffer.
+template <typename OnLine>
+void read_lines(logio::ChunkReader& reader, net::FrameDecoder& decoder,
+                OnLine&& on_line) {
   decoder.write_window(logio::kReadChunk);  // one read's worth up front
   for (;;) {
-    if (stopped()) return false;
     // A quarter read is the least room asked for: a line cut by the
     // last read is compacted to the front rather than doubling the
     // buffer, and the read then fills the room there is, up to a read.
@@ -192,10 +186,14 @@ bool read_lines(logio::ChunkReader& reader, net::FrameDecoder& decoder,
     if (!reader.read_into(dst, std::min(decoder.room(), logio::kReadChunk),
                           got)) {
       std::string_view tail;
-      return !decoder.finish_view(tail) || on_line(tail);
+      if (decoder.finish_view(tail)) on_line(tail);
+      return;
     }
     decoder.commit(got);
-    if (!decoder.for_each_frame(on_line)) return false;
+    decoder.for_each_frame([&](std::string_view line) {
+      on_line(line);
+      return true;
+    });
   }
 }
 
@@ -515,12 +513,10 @@ int cmd_anonymize(const Args& args, std::ostream& out, std::ostream& err) {
       return 1;
     }
     net::FrameDecoder decoder(net::Framing::kNewline, logio::kMaxLine);
-    read_lines(reader, decoder, [] { return false; },
-               [&](std::string_view line) {
-                 os << anon.anonymize(line) << '\n';
-                 ++lines;
-                 return true;
-               });
+    read_lines(reader, decoder, [&](std::string_view line) {
+      os << anon.anonymize(line) << '\n';
+      ++lines;
+    });
     oversized = decoder.oversized();
   } catch (const std::exception& e) {
     err << "anonymize: " << e.what() << "\n";
@@ -771,45 +767,28 @@ int cmd_stream(const Args& args, std::ostream& out, std::ostream& err) {
       // signal -- the run is paused, not finished.
       truncated = resume + ingested < total;
     } else {
-      // File source: line-delimited log, optionally stdin ("-"). Each
-      // line goes to the engine on this thread as soon as the decoder
-      // cuts it; it is a view into the decoder's buffer, valid only for
-      // its ingest_line call. No line is dropped unless it is longer
+      // File source: line-delimited log, optionally stdin ("-"), read
+      // once through a bounded line decoder. Pool threads parse and tag
+      // blocks of lines ahead; this thread reduces them in file order
+      // (stream::FileIngest). No line is dropped unless it is longer
       // than logio::kMaxLine, and those are counted.
       logio::ChunkReader reader = *in_path == "-"
                                       ? logio::ChunkReader::from_fd(0)
                                       : logio::ChunkReader::open(*in_path);
-      net::FrameDecoder decoder(net::Framing::kNewline, logio::kMaxLine);
-      std::uint64_t skip = resume;
-      // An oversized line is counted by the run that reaches the line
-      // after it. Lines the resume skip passes were reached by the run
-      // that saved the checkpoint, which restored its count.
-      std::uint64_t over_skipped = 0;
-      std::uint64_t over_reached = 0;
-      const auto on_line = [&](std::string_view line) {
-        if (skip > 0) {  // checkpoint resume skip
-          --skip;
-          over_skipped = over_reached = decoder.oversized();
-          return true;
-        }
-        // Limits are tested before the next line: a run that stops at
-        // the input's end is complete, not truncated.
-        if (drain.stopped() ||
-            (max_events > 0 &&
-             ingested >= static_cast<std::uint64_t>(max_events))) {
-          return false;
-        }
-        over_reached = decoder.oversized();
-        pipeline.ingest_line(line);
-        ++ingested;
-        tick();
-        return true;
-      };
-      truncated = !read_lines(
-          reader, decoder, [&drain] { return drain.stopped(); }, on_line);
-      if (!truncated) over_reached = decoder.oversized();
-      if (over_reached > over_skipped) {
-        const std::uint64_t over = over_reached - over_skipped;
+      stream::FileIngestOptions fopts;
+      fopts.skip = resume;
+      fopts.max_lines = static_cast<std::uint64_t>(max_events);
+      fopts.stop = &net::ShutdownSignal::stop_requested;
+      if (refresh > 0) {
+        fopts.after_line = [&](std::uint64_t reduced) {
+          ingested = reduced;
+          tick();
+        };
+      }
+      stream::FileIngest ingest(pipeline);
+      truncated = !ingest.run(reader, fopts);
+      ingested = ingest.reduced();
+      if (const std::uint64_t over = ingest.oversized(); over > 0) {
         obs::registry().counter("wss_stream_oversized_total").inc(over);
         err << oversized_note("stream", over);
       }

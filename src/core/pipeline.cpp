@@ -27,11 +27,73 @@ PipelineResult make_partial(const ChunkContext& ctx) {
   return r;
 }
 
-std::optional<tag::TagResult> reduce_line(const ChunkContext& ctx,
-                                          std::string_view line, int year,
-                                          double weight, PipelineResult& r,
-                                          LineScratch& ls,
-                                          match::MatchScratch& scratch) {
+namespace {
+
+/// Packs the parse half of a LineRead from `rec`, a parse of `line`.
+void pack_parse(const parse::LogRecord& rec, std::string_view line,
+                LineRead& out) {
+  out.time = rec.time;
+  // A corrupted record's source is empty, which any offset views.
+  out.source_begin =
+      rec.source.empty()
+          ? 0
+          : static_cast<std::uint32_t>(rec.source.data() - line.data());
+  out.source_size = static_cast<std::uint32_t>(rec.source.size());
+  out.severity = rec.severity;
+  out.month = rec.month;
+  constexpr std::uint8_t kParseBits = LineRead::kTimestampValid |
+                                      LineRead::kSourceCorrupted |
+                                      LineRead::kYearPending;
+  out.bits = static_cast<std::uint8_t>(
+      (out.bits & ~kParseBits) |
+      (rec.timestamp_valid ? LineRead::kTimestampValid : 0) |
+      (rec.source_corrupted ? LineRead::kSourceCorrupted : 0) |
+      (rec.year_pending ? LineRead::kYearPending : 0));
+}
+
+}  // namespace
+
+void read_line(const ChunkContext& ctx, std::string_view line,
+               LineScratch& ls, match::MatchScratch& scratch, LineRead& out) {
+  parse::parse_line_into(ctx.system, line, ls.rec, ls.parse);
+  const std::uint64_t rejects = scratch.prefilter_rejects;
+  const std::uint64_t scans = scratch.dfa_scans;
+  const auto tagged = ctx.engine->tag(ls.rec, scratch);
+  out.bits = static_cast<std::uint8_t>(
+      (tagged ? LineRead::kTagged : 0) |
+      (scratch.prefilter_rejects != rejects ? LineRead::kPrefilterReject : 0) |
+      (scratch.dfa_scans != scans ? LineRead::kRegexScan : 0));
+  if (tagged) {
+    out.category = tagged->category;
+    out.type = tagged->type;
+  }
+  pack_parse(ls.rec, line, out);
+}
+
+void count_tag(const LineRead& read, match::MatchScratch& scratch) {
+  ++scratch.tag_lines;
+  scratch.tag_hits += read.has(LineRead::kTagged);
+  scratch.prefilter_rejects += read.has(LineRead::kPrefilterReject);
+  scratch.dfa_scans += read.has(LineRead::kRegexScan);
+}
+
+void reduce_read(const ChunkContext& ctx, std::string_view line, int year,
+                 double weight, LineRead& read, PipelineResult& r,
+                 LineScratch& ls) {
+  if (read.has(LineRead::kYearPending)) {
+    read.bits &= static_cast<std::uint8_t>(~LineRead::kYearPending);
+    if (const auto t = ls.parse.clock.at(year, read.month, read.time)) {
+      read.time = *t;
+    } else {
+      // The stamp names a day this year lacks: the year-aware parse
+      // rejects it, which may attribute the line differently. The tag
+      // reads only the raw line, so it stands.
+      parse::parse_line_into(ctx.system, line, ls.rec, ls.parse);
+      parse::apply_year(ls.rec, year, ls.parse);
+      pack_parse(ls.rec, line, read);
+    }
+  }
+
   PipelineCounters& obs = PipelineCounters::get();
   obs.events.inc();
   obs.bytes.inc(line.size() + 1);
@@ -40,56 +102,60 @@ std::optional<tag::TagResult> reduce_line(const ChunkContext& ctx,
   r.physical_bytes += line.size() + 1;  // trailing newline on disk
   r.weighted_bytes += weight * static_cast<double>(line.size() + 1);
 
-  parse::parse_line_into(ctx.system, line, year, ls.rec, ls.parse);
-  const parse::LogRecord& rec = ls.rec;
-  if (rec.source_corrupted) {
+  const bool corrupted = read.has(LineRead::kSourceCorrupted);
+  if (corrupted) {
     ++r.corrupted_source_lines;
     obs.corrupted_sources.inc();
   }
-  if (!rec.timestamp_valid) {
+  if (!read.has(LineRead::kTimestampValid)) {
     ++r.invalid_timestamp_lines;
     obs.invalid_timestamps.inc();
   }
 
-  const auto tagged = ctx.engine->tag(rec, scratch);
-  if (tagged) {
+  if (read.has(LineRead::kTagged)) {
     obs.alerts_tagged.inc();
-    r.weighted_alert_counts[tagged->category] += weight;
-    ++r.physical_alert_counts[tagged->category];
+    r.weighted_alert_counts[read.category] += weight;
+    ++r.physical_alert_counts[read.category];
   }
 
   if (ctx.collect_source_tallies) {
-    if (rec.source_corrupted) {
+    if (corrupted) {
       r.corrupted_source_weight += weight;
     } else {
       // Look up by view: a new key is copied once, a known one never.
-      auto it = r.messages_by_source.find(rec.source);
+      const std::string_view source = read.source(line);
+      auto it = r.messages_by_source.find(source);
       if (it == r.messages_by_source.end()) {
-        it = r.messages_by_source.emplace(rec.source, 0.0).first;
+        it = r.messages_by_source.emplace(source, 0.0).first;
       }
       it->second += weight;
     }
   }
-  return tagged;
 }
 
 void process_line(const ChunkContext& ctx, const sim::SimEvent& e,
                   std::string_view line, PipelineResult& r, LineScratch& ls,
                   match::MatchScratch& scratch) {
-  // The year hint follows the event's own year; a real reader infers
-  // it from month rollovers (StreamPipeline::ingest_line).
-  const auto tagged = reduce_line(ctx, line, util::to_civil(e.time).year,
-                                  e.weight, r, ls, scratch);
-  r.tagging.add(tagged.has_value(), e.is_alert());
+  LineRead read;  // read_line writes it
+  read_line(ctx, line, ls, scratch, read);
+  // The year follows the event's own; a real reader infers it from
+  // month rollovers (stream::StreamPipeline). Only a pending syslog
+  // stamp reads it.
+  const int year = read.has(LineRead::kYearPending)
+                       ? util::to_civil(e.time).year
+                       : 0;
+  reduce_read(ctx, line, year, e.weight, read, r, ls);
+  const bool tagged = read.has(LineRead::kTagged);
+  r.tagging.add(tagged, e.is_alert());
   if (!tagged) return;
   filter::Alert a;
   // Trust the parsed timestamp when valid; otherwise fall back to
   // stream position (ground-truth time), as an operator reading a
   // sequential log effectively does.
-  a.time = ls.rec.timestamp_valid ? ls.rec.time : e.time;
+  a.time = read.has(LineRead::kTimestampValid) ? read.time : e.time;
   a.source = e.source;
-  a.category = tagged->category;
-  a.type = tagged->type;
+  a.category = read.category;
+  a.type = read.type;
   a.failure_id = e.failure_id;  // ground truth rides along for scoring
   a.weight = e.weight;
   r.tagged_alerts.push_back(a);

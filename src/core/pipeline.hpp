@@ -113,37 +113,81 @@ struct ChunkContext {
 /// in batch and streaming runs.
 PipelineResult make_partial(const ChunkContext& ctx);
 
-/// Per-caller parse state of reduce_line: one record and one parse
+/// Per-caller parse state of the read step: one record and one parse
 /// scratch, reused across lines so the warm parse allocates nothing.
-/// After a reduce_line call, `rec` is that line's parsed record; its
+/// After a read_line call, `rec` is that line's parsed record; its
 /// fields (and the scratch's field split) view the line, so they are
-/// valid only until the caller's line buffer changes -- every caller
-/// reads them before its next line and keeps copies of what it keeps.
+/// valid only until the caller's line buffer changes. The reduce step
+/// uses its own LineScratch only to parse a line again in the rare case
+/// apply_year describes.
 struct LineScratch {
   parse::LogRecord rec;
   parse::ParseScratch parse;
 };
 
-/// The per-line reducer of every route: parses `line` into `ls.rec`
-/// (`year` stamps syslog lines, which carry none), counts its volume
-/// and parse quality, tags it with `scratch`, and tallies its category
-/// and source into `r`, each at `weight`. Returns the tag. Callers add
-/// only what differs: process_line scores the tagger and keeps the
-/// alert; stream::StreamPipeline::ingest_line infers the year and feeds
-/// its filter. `scratch` is the caller-owned per-thread matching
-/// scratch, reused across lines so the steady-state tag path never
-/// allocates.
-std::optional<tag::TagResult> reduce_line(const ChunkContext& ctx,
-                                          std::string_view line, int year,
-                                          double weight, PipelineResult& r,
-                                          LineScratch& ls,
-                                          match::MatchScratch& scratch);
+/// What the read step leaves for the reduce step: one line's year-free
+/// parse and its tag, in 24 bytes that hold no pointer (the source is
+/// a range of the line), so a block of them can be read on one thread
+/// and reduced on another. A plain aggregate, so an array of slots
+/// costs no memory until read_line writes them: it writes every field
+/// but `category` and `type`, which it writes only when kTagged.
+struct LineRead {
+  enum Bit : std::uint8_t {
+    kTimestampValid = 1 << 0,
+    kSourceCorrupted = 1 << 1,
+    kYearPending = 1 << 2,  ///< `time` is an offset into `month`
+    kTagged = 1 << 3,
+    kPrefilterReject = 1 << 4,  ///< the tag's literal scan rejected it
+    kRegexScan = 1 << 5,        ///< the tag ran a whole-line regex
+  };
 
-/// Reduces ONE rendered event into the partial `r`: reduce_line at the
-/// event's own year and weight, plus tagger scoring against ground
-/// truth and the tagged alert. process_chunk and the online
-/// stream::StreamPipeline both call it, which is what makes their
-/// outputs bit-identical on the same (event, line) sequence.
+  util::TimeUs time;
+  std::uint32_t source_begin;  ///< the parsed source: its offset in
+  std::uint32_t source_size;   ///< the line, and its length
+  std::uint16_t category;      ///< the tag, when kTagged
+  filter::AlertType type;
+  parse::Severity severity;
+  std::uint8_t month;  ///< parse::LogRecord::month
+  std::uint8_t bits;
+
+  bool has(Bit b) const { return (bits & b) != 0; }
+  /// The source as a view of `line`, the line this read was made from.
+  std::string_view source(std::string_view line) const {
+    return {line.data() + source_begin, source_size};
+  }
+};
+static_assert(sizeof(LineRead) == 24);
+
+/// The read step: parses `line` year-free into `ls.rec` and tags it
+/// with `scratch`, then packs both into `out`. It depends on nothing
+/// but the line (and the const engine), so any thread may run it with
+/// its own scratches. `scratch`'s tag tallies grow as the tag path
+/// always grows them; `out` records the line's share as bits, which
+/// count_tag adds to another scratch.
+void read_line(const ChunkContext& ctx, std::string_view line,
+               LineScratch& ls, match::MatchScratch& scratch, LineRead& out);
+
+/// Adds a read's tag tallies (tag_lines, tag_hits, prefilter_rejects,
+/// dfa_scans) to `scratch`: the reducer of a line that another scratch
+/// read keeps its tag counters exact this way.
+void count_tag(const LineRead& read, match::MatchScratch& scratch);
+
+/// The reduce step of every route, in line order: completes `read`'s
+/// stamp with `year` (parse::apply_year; a rejected day parses `line`
+/// again into `ls`), counts the line's volume and parse quality, and
+/// tallies its category and source into `r`, each at `weight`. Callers
+/// add only what differs: process_line scores the tagger and keeps the
+/// alert; stream::StreamPipeline infers the year and feeds its filter.
+/// `line` is the line `read` was made from.
+void reduce_read(const ChunkContext& ctx, std::string_view line, int year,
+                 double weight, LineRead& read, PipelineResult& r,
+                 LineScratch& ls);
+
+/// Reduces ONE rendered event into the partial `r`: read_line, then
+/// reduce_read at the event's own year and weight, plus tagger scoring
+/// against ground truth and the tagged alert. process_chunk and the
+/// online stream::StreamPipeline both call it, which is what makes
+/// their outputs bit-identical on the same (event, line) sequence.
 void process_line(const ChunkContext& ctx, const sim::SimEvent& e,
                   std::string_view line, PipelineResult& r, LineScratch& ls,
                   match::MatchScratch& scratch);
@@ -158,7 +202,7 @@ PipelineResult process_chunk(const ChunkContext& ctx, std::size_t begin,
 /// the merge order is what the determinism guarantee hangs on.
 void merge_partial(PipelineResult& acc, PipelineResult&& part);
 
-/// Cached handles for the per-event pipeline counters. reduce_line
+/// Cached handles for the per-event pipeline counters. reduce_read
 /// increments these (relaxed striped adds), so the same names track
 /// the same per-event semantics in the serial, parallel, and streaming
 /// paths -- which is what makes the wss_pipeline_* counters

@@ -1,6 +1,7 @@
 #include "logio/input.hpp"
 
 #include <fcntl.h>
+#include <poll.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
@@ -123,7 +124,10 @@ ChunkReader ChunkReader::open(const std::filesystem::path& path) {
 }
 
 ChunkReader::ChunkReader(int fd, bool owns_fd)
-    : source_(Source::kRead), fd_(fd), owns_fd_(owns_fd) {}
+    : source_(Source::kRead), fd_(fd), owns_fd_(owns_fd) {
+  struct stat st{};
+  pollable_ = ::fstat(fd, &st) != 0 || !S_ISREG(st.st_mode);
+}
 
 ChunkReader::ChunkReader(std::string text)
     : source_(Source::kDecompressed), text_(std::move(text)) {}
@@ -155,6 +159,12 @@ bool ChunkReader::read_into(char* dst, std::size_t cap, std::size_t& got) {
   }
   got = static_cast<std::size_t>(n);
   return n > 0;
+}
+
+bool ChunkReader::may_block() const {
+  if (source_ != Source::kRead || !pollable_) return false;
+  pollfd p{fd_, POLLIN, 0};
+  return ::poll(&p, 1, 0) == 0;
 }
 
 }  // namespace wss::logio

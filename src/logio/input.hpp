@@ -106,6 +106,11 @@ class ChunkReader {
   /// a read error.
   bool read_into(char* dst, std::size_t cap, std::size_t& got);
 
+  /// True when the next read_into() could block: the input is a pipe,
+  /// FIFO, socket or terminal with no byte ready (one poll()). A
+  /// regular file and a .wsc log never block.
+  bool may_block() const;
+
   Source source() const { return source_; }
 
  private:
@@ -115,6 +120,7 @@ class ChunkReader {
   Source source_;
   int fd_ = -1;               ///< kRead: the descriptor read from
   bool owns_fd_ = false;      ///< kRead: close fd_ when done
+  bool pollable_ = false;     ///< kRead: fd_ is not a regular file
   std::string text_;          ///< kDecompressed: the whole text
   std::size_t text_off_ = 0;  ///< kDecompressed: bytes handed out
 };

@@ -1,7 +1,5 @@
 #include "logio/reader.hpp"
 
-#include "util/time.hpp"
-
 namespace wss::logio {
 
 int YearTracker::on_month(int month) {
@@ -16,12 +14,6 @@ int YearTracker::on_month(int month) {
     last_month_ = month;
   }
   return year_;
-}
-
-int YearTracker::year_of(std::string_view line) {
-  const int month =
-      line.size() >= 3 ? util::parse_month_abbrev(line.substr(0, 3)) : 0;
-  return month > 0 ? on_month(month) : year_;
 }
 
 }  // namespace wss::logio

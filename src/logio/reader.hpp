@@ -4,11 +4,9 @@
 // Structure"), so a reader of a multi-year log (Spirit spans 558 days)
 // must infer year boundaries: when the month jumps backwards by more
 // than half a year relative to the previous record, a new year has
-// begun. stream::StreamPipeline::ingest_line runs every line of a
-// parsed log through one tracker.
+// begun. stream::StreamPipeline runs every line of a parsed log
+// through one tracker, in file order, after the line's parse.
 #pragma once
-
-#include <string_view>
 
 namespace wss::logio {
 
@@ -19,14 +17,12 @@ class YearTracker {
   explicit YearTracker(int start_year) : year_(start_year) {}
 
   /// Returns the year to use for a record stamped with `month`
-  /// (1..12), updating internal state.
+  /// (1..12), updating internal state. Month 0 -- a line that starts
+  /// with no month name, as the stamps that carry their own year (BG/L,
+  /// the Red Storm event router) do -- leaves the tracker inert. The
+  /// parse reports the month (parse::LogRecord::month), also when it
+  /// rejects the stamp.
   int on_month(int month);
-
-  /// Returns the year for `line`, peeking the month abbreviation its
-  /// stamp starts with. Stamps that carry their own year (BG/L, the
-  /// Red Storm event router) start with no month name and leave the
-  /// tracker inert.
-  int year_of(std::string_view line);
 
   int year() const { return year_; }
   int last_month() const { return last_month_; }

@@ -81,8 +81,9 @@ class FrameDecoder {
   /// kNewline only: calls fn(std::string_view line) for each complete
   /// line buffered, in order, until fn returns false. Returns true when
   /// every complete line went out, false when fn stopped the walk (the
-  /// line it stopped on is consumed). fn must not call the decoder.
-  /// Views as next_view()'s.
+  /// line it stopped on is consumed). fn must not call the decoder,
+  /// except oversized(), which then counts every line skipped before
+  /// the one fn receives. Views as next_view()'s.
   template <typename F>
   bool for_each_frame(F&& fn);
 
@@ -185,7 +186,7 @@ bool FrameDecoder::for_each_frame(F&& fn) {
       continue;
     }
     if (len > max) {
-      ++oversized;
+      oversized_ = ++oversized;  // oversized() is current inside fn
       continue;
     }
     const bool cr = len > 0 && begin[len - 1] == '\r';

@@ -28,6 +28,7 @@ bool plausible_bgl_location(std::string_view s) {
 void parse_bgl_line_into(std::string_view line, LogRecord& rec,
                          ParseScratch& scratch) {
   rec.reset(SystemId::kBlueGeneL, line);
+  rec.month = static_cast<std::uint8_t>(util::parse_month_abbrev(line));
 
   // epoch date loc timestamp loc RAS FACILITY SEVERITY body...: the
   // header is the first 8 fields, and a line needs one body token

@@ -69,9 +69,9 @@ std::optional<Severity> parse_severity(std::string_view s);
 /// Lifetime: `source`, `program`, `body` and `raw` point into the
 /// parser's input line, so a record is valid only while that line is.
 /// Every route parses a line, reads the record and is done with both
-/// before the next line (core::detail::reduce_line); a caller that
-/// keeps anything past its line copies it (StreamPipeline::intern and
-/// the per-source tally build their own std::string keys).
+/// before the line's buffer changes (core::detail::read_line); a caller
+/// that keeps anything past its line copies it (StreamPipeline::intern
+/// and the per-source tally build their own std::string keys).
 struct LogRecord {
   util::TimeUs time = 0;          ///< event time (0 if unparseable)
   SystemId system = SystemId::kBlueGeneL;
@@ -83,6 +83,16 @@ struct LogRecord {
 
   bool timestamp_valid = false;   ///< time could be parsed
   bool source_corrupted = false;  ///< source field garbled / missing
+
+  /// The month the line's first three bytes name (1..12), 0 if none,
+  /// whether or not the stamp parses: what logio::YearTracker::on_month
+  /// reads.
+  std::uint8_t month = 0;
+  /// A syslog stamp still missing its year: `time` holds its offset
+  /// into `month` (parse_syslog_stamp), and `timestamp_valid` is
+  /// provisional, since Feb 29 depends on the year. apply_year
+  /// (parse/dispatch.hpp) completes the record.
+  bool year_pending = false;
 
   /// Returns the record to its default state, viewing `line` as raw.
   void reset(SystemId sys, std::string_view line) {

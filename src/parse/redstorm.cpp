@@ -73,14 +73,15 @@ bool plausible_redstorm_node(std::string_view s) {
   return true;
 }
 
-void parse_redstorm_line_into(std::string_view line, int base_year,
-                              LogRecord& rec, ParseScratch& scratch) {
+void parse_redstorm_line_into(std::string_view line, LogRecord& rec,
+                              ParseScratch& scratch, bool reject_stamp) {
   rec.reset(SystemId::kRedStorm, line);
   if (parse_event_router(line, rec, scratch)) return;
 
   // syslog-with-priority: after host there may be a "facility.severity"
   // token; split it off and reuse the base syslog parser.
-  parse_syslog_line_into(SystemId::kRedStorm, line, base_year, rec, scratch);
+  parse_syslog_line_into(SystemId::kRedStorm, line, rec, scratch,
+                         reject_stamp);
   // The base parser left "kern.crit kernel: body" as the unparsed
   // remainder if the priority token blocked the program detection; the
   // priority token ends up at the front of the body. Pull it out.
@@ -117,7 +118,8 @@ void parse_redstorm_line_into(std::string_view line, int base_year,
 LogRecord parse_redstorm_line(std::string_view line, int base_year) {
   LogRecord rec;
   ParseScratch scratch;
-  parse_redstorm_line_into(line, base_year, rec, scratch);
+  parse_redstorm_line_into(line, rec, scratch);
+  apply_year(rec, base_year, scratch);
   return rec;
 }
 

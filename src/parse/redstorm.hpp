@@ -21,12 +21,15 @@
 
 namespace wss::parse {
 
-/// Parses one Red Storm line, auto-detecting the path by shape.
+/// Parses one Red Storm line, auto-detecting the path by shape; a
+/// syslog-path stamp is completed with `base_year` (apply_year).
 LogRecord parse_redstorm_line(std::string_view line, int base_year);
 
-/// Capacity-reusing form (see parse_line_into).
-void parse_redstorm_line_into(std::string_view line, int base_year,
-                              LogRecord& rec, ParseScratch& scratch);
+/// Capacity-reusing, year-free form (see parse_line_into);
+/// `reject_stamp` as parse_syslog_line_into's, for the syslog path.
+void parse_redstorm_line_into(std::string_view line, LogRecord& rec,
+                              ParseScratch& scratch,
+                              bool reject_stamp = false);
 
 /// True if `s` looks like a Cray XT node name ("c12-3c1s4n0") or an
 /// administrative host.

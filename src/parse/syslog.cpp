@@ -25,16 +25,19 @@ bool plausible_hostname(std::string_view s) {
 }
 
 void parse_syslog_line_into(SystemId system, std::string_view line,
-                            int base_year, LogRecord& rec,
-                            ParseScratch& scratch) {
+                            LogRecord& rec, ParseScratch& scratch,
+                            bool reject_stamp) {
   rec.reset(system, line);
+  rec.month = static_cast<std::uint8_t>(util::parse_month_abbrev(line));
 
-  // Timestamp: fixed-width first 15 bytes.
+  // Timestamp: fixed-width first 15 bytes, completed by apply_year.
   std::string_view rest = line;
   if (line.size() >= 15) {
-    if (const auto t = parse_syslog_timestamp(line.substr(0, 15), base_year)) {
-      rec.time = *t;
+    if (const auto offset = parse_syslog_stamp(line.substr(0, 15), rec.month);
+        offset && !reject_stamp) {
+      rec.time = *offset;
       rec.timestamp_valid = true;
+      rec.year_pending = true;
     }
     rest = line.substr(15);
   } else {
@@ -91,7 +94,8 @@ LogRecord parse_syslog_line(SystemId system, std::string_view line,
                             int base_year) {
   LogRecord rec;
   ParseScratch scratch;
-  parse_syslog_line_into(system, line, base_year, rec, scratch);
+  parse_syslog_line_into(system, line, rec, scratch);
+  apply_year(rec, base_year, scratch);
   return rec;
 }
 

@@ -17,15 +17,18 @@
 
 namespace wss::parse {
 
-/// Parses one syslog line. `base_year` supplies the year the stamp
-/// lacks. The returned record always carries `raw` = `line`.
+/// Parses one syslog line and completes its stamp with `base_year`
+/// (apply_year). The returned record always carries `raw` = `line`.
 LogRecord parse_syslog_line(SystemId system, std::string_view line,
                             int base_year);
 
-/// Capacity-reusing form (see parse_line_into).
+/// Capacity-reusing, year-free form (see parse_line_into): the stamp is
+/// left pending. `reject_stamp` parses the line as one whose stamp is
+/// rejected, whatever its bytes: apply_year's second parse of a stamp
+/// naming a day its year lacks.
 void parse_syslog_line_into(SystemId system, std::string_view line,
-                            int base_year, LogRecord& rec,
-                            ParseScratch& scratch);
+                            LogRecord& rec, ParseScratch& scratch,
+                            bool reject_stamp = false);
 
 /// True if `s` looks like a legitimate hostname: nonempty, starts with
 /// an alphanumeric, and contains only [A-Za-z0-9._-]. The corrupted-

@@ -62,19 +62,50 @@ bool civil_fields_valid(int year, int month, int day, int hour, int minute,
   return true;
 }
 
-std::optional<util::TimeUs> parse_syslog_timestamp(std::string_view s,
-                                                   int base_year) {
+std::optional<util::TimeUs> parse_syslog_stamp(std::string_view s,
+                                               int month) {
   // "Mon dd HH:MM:SS" -- dd may be space-padded ("Jun  3").
   if (s.size() < 15 || s[3] != ' ' || s[6] != ' ') return std::nullopt;
   util::CivilTime ct;
-  ct.year = base_year;
-  ct.month = util::parse_month_abbrev(s);
+  ct.month = month;
   ct.day = s[4] == ' ' ? digit_run<1>(s.data() + 5)
                        : digit_run<2>(s.data() + 4);
   if (ct.month == 0 || ct.day < 0 || !parse_clock(s.data() + 7, ':', ct)) {
     return std::nullopt;
   }
-  return checked_time(ct);
+  // A leap year admits every day a month can have; YearClock::at
+  // rejects Feb 29 once the year is known.
+  if (!civil_fields_valid(2000, ct.month, ct.day, ct.hour, ct.minute,
+                          ct.second)) {
+    return std::nullopt;
+  }
+  return (ct.day - 1) * util::kUsPerDay + ct.hour * util::kUsPerHour +
+         ct.minute * util::kUsPerMin + ct.second * util::kUsPerSec;
+}
+
+std::optional<util::TimeUs> YearClock::at(int year, int month,
+                                          util::TimeUs offset) {
+  if (year != year_) {
+    year_ = year;
+    valid_ = year >= 1 && year <= 9999;
+    leap_ = valid_ && util::is_leap_year(year);
+    for (int m = 1; valid_ && m <= 12; ++m) {
+      month_start_[static_cast<std::size_t>(m - 1)] =
+          util::days_from_civil(year, m, 1) * util::kUsPerDay;
+    }
+  }
+  if (!valid_ || (month == 2 && !leap_ && offset >= 28 * util::kUsPerDay)) {
+    return std::nullopt;
+  }
+  return month_start_[static_cast<std::size_t>(month - 1)] + offset;
+}
+
+std::optional<util::TimeUs> parse_syslog_timestamp(std::string_view s,
+                                                   int base_year) {
+  const int month = util::parse_month_abbrev(s);
+  const auto offset = parse_syslog_stamp(s, month);
+  if (!offset) return std::nullopt;
+  return YearClock().at(base_year, month, *offset);
 }
 
 std::optional<util::TimeUs> parse_bgl_timestamp(std::string_view s) {

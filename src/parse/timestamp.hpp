@@ -13,8 +13,13 @@
 // field or a longer prefix of the line). A stamp is rejected when it
 // is short, when a separator or digit is wrong, or when a field is out
 // of range (civil_fields_valid); nothing else rejects it.
+//
+// A syslog stamp is decoded without its year (parse_syslog_stamp), so
+// the parse of a line needs nothing but the line; the reader that
+// knows the year completes it with a YearClock.
 #pragma once
 
+#include <array>
 #include <optional>
 #include <string_view>
 
@@ -22,9 +27,33 @@
 
 namespace wss::parse {
 
-/// Parses "Mon dd HH:MM:SS" (syslog, RFC 3164 flavour). The year is
-/// not in the stamp; `base_year` supplies it. Returns nullopt on any
-/// malformation (bad month, out-of-range fields, truncation).
+/// Parses "Mon dd HH:MM:SS" (syslog, RFC 3164 flavour) without its
+/// year: `month` is the month its first three bytes name
+/// (util::parse_month_abbrev, which the caller has decoded already).
+/// Returns the stamp's offset from the start of that month, or nullopt
+/// on any malformation (no month, out-of-range fields, truncation).
+/// Feb 29 is accepted: only the year decides it (YearClock::at).
+std::optional<util::TimeUs> parse_syslog_stamp(std::string_view s, int month);
+
+/// Completes year-free syslog stamps. It caches the epoch start of each
+/// month of the last year it was asked for, so a stamp costs one add
+/// until the year changes.
+class YearClock {
+ public:
+  /// The time `offset` (as parse_syslog_stamp returns it) into `month`
+  /// of `year`, or nullopt when `year` has no such day: Feb 29 of a
+  /// common year, or any day of a year outside 1..9999.
+  std::optional<util::TimeUs> at(int year, int month, util::TimeUs offset);
+
+ private:
+  int year_ = 0;
+  bool valid_ = false;  ///< year_ lies in 1..9999
+  bool leap_ = false;
+  std::array<util::TimeUs, 12> month_start_{};
+};
+
+/// parse_syslog_stamp completed with `base_year`: nullopt on any
+/// malformation and on a day `base_year` lacks.
 std::optional<util::TimeUs> parse_syslog_timestamp(std::string_view s,
                                                    int base_year);
 

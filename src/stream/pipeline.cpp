@@ -61,10 +61,24 @@ void StreamPipeline::offer(const filter::Alert& a) {
   if (admitted && sink_) sink_(a);
 }
 
+template <typename F>
+void StreamPipeline::sampled(F&& ingest) {
+  if ((latency_tick_++ % 16) != 0) {
+    ingest();
+    return;
+  }
+  const auto t0 = std::chrono::steady_clock::now();
+  ingest();
+  const std::chrono::duration<double> dt =
+      std::chrono::steady_clock::now() - t0;
+  StreamObs::get().latency.observe(dt.count());
+}
+
 void StreamPipeline::ingest(const sim::SimEvent& e, std::string_view line) {
-  const bool sampled = (latency_tick_++ % 16) == 0;
-  const auto t0 = sampled ? std::chrono::steady_clock::now()
-                          : std::chrono::steady_clock::time_point{};
+  sampled([&] { reduce(e, line); });
+}
+
+void StreamPipeline::reduce(const sim::SimEvent& e, std::string_view line) {
   // Reduce into the open chunk partial with the shared batch reducer,
   // then let the study state advance chunk bookkeeping (it merges the
   // partial at every chunk_events boundary, exactly like run_pipeline).
@@ -94,11 +108,6 @@ void StreamPipeline::ingest(const sim::SimEvent& e, std::string_view line) {
     flusher_.flush(scratch_);
     StreamObs::get().watermark.set(study_.watermark());
   }
-  if (sampled) {
-    const std::chrono::duration<double> dt =
-        std::chrono::steady_clock::now() - t0;
-    StreamObs::get().latency.observe(dt.count());
-  }
 }
 
 std::uint32_t StreamPipeline::intern(std::string_view name) {
@@ -112,30 +121,52 @@ std::uint32_t StreamPipeline::intern(std::string_view name) {
   return id;
 }
 
+void StreamPipeline::read_line(std::string_view line,
+                               core::detail::LineScratch& ls,
+                               match::MatchScratch& scratch,
+                               core::detail::LineRead& out) const {
+  core::detail::read_line(ctx_, line, ls, scratch, out);
+}
+
 void StreamPipeline::ingest_line(std::string_view line) {
-  const bool sampled = (latency_tick_++ % 16) == 0;
-  const auto t0 = sampled ? std::chrono::steady_clock::now()
-                          : std::chrono::steady_clock::time_point{};
+  sampled([&] {
+    core::detail::LineRead read;
+    core::detail::read_line(ctx_, line, line_, scratch_, read);
+    reduce(line, read);
+  });
+}
+
+void StreamPipeline::ingest_read(std::string_view line,
+                                 core::detail::LineRead& read) {
+  sampled([&] {
+    core::detail::count_tag(read, scratch_);
+    reduce(line, read);
+  });
+}
+
+void StreamPipeline::reduce(std::string_view line,
+                            core::detail::LineRead& read) {
+  using core::detail::LineRead;
   study_.mark_no_ground_truth();
 
   // The shared reducer, with no ground truth: every line weighs 1 and
   // the tagger goes unscored (left at zero).
-  const auto tagged =
-      core::detail::reduce_line(ctx_, line, year_.year_of(line), 1.0,
-                                study_.partial(), line_, scratch_);
-  const parse::LogRecord& rec = line_.rec;
+  core::detail::reduce_read(ctx_, line, year_.on_month(read.month), 1.0,
+                            read, study_.partial(), line_);
 
   sim::SimEvent e;
-  e.time = rec.timestamp_valid ? rec.time : study_.watermark();
-  e.severity = rec.severity;
+  e.time = read.has(LineRead::kTimestampValid) ? read.time
+                                               : study_.watermark();
+  e.severity = read.severity;
   e.weight = 1.0;
   filter::Alert a;
+  const bool tagged = read.has(LineRead::kTagged);
   if (tagged) {
-    e.category = static_cast<std::int32_t>(tagged->category);
+    e.category = static_cast<std::int32_t>(read.category);
     a.time = e.time;
-    a.category = tagged->category;
-    a.type = tagged->type;
-    a.source = intern(rec.source);
+    a.category = read.category;
+    a.type = read.type;
+    a.source = intern(read.source(line));
     a.weight = 1.0;
     e.source = a.source;
   }
@@ -147,11 +178,6 @@ void StreamPipeline::ingest_line(std::string_view line) {
   if (study_.events() % opts_.study.chunk_events == 0) {
     flusher_.flush(scratch_);
     StreamObs::get().watermark.set(study_.watermark());
-  }
-  if (sampled) {
-    const std::chrono::duration<double> dt =
-        std::chrono::steady_clock::now() - t0;
-    StreamObs::get().latency.observe(dt.count());
   }
 }
 

@@ -21,10 +21,15 @@
 //   ingest(event, line)  -- simulated streams: ground truth rides
 //     along, the filter consumes the ground-truth alert stream (the
 //     batch Study::filtered_alerts feed), and tagging is scored.
-//   ingest_line(line)    -- real/parsed logs. The line is parsed with
-//     year-rollover inference, tagged, and the tagged alert stream
-//     (weight 1, interned source ids) feeds the filter. Both modes
-//     reduce each line with the batch core::detail::reduce_line.
+//   ingest_line(line)    -- real/parsed logs. The line is read (parsed
+//     year-free and tagged), then reduced in file order: its year is
+//     inferred from month rollovers, and the tagged alert stream
+//     (weight 1, interned source ids) feeds the filter. The two halves
+//     are also public: read_line() is const, so FileIngest (`wss stream
+//     --in`) runs it on a small pool a few blocks of lines ahead, while
+//     ingest_read() reduces those lines in file order on the calling
+//     thread. Both modes reduce each line with the batch
+//     core::detail::reduce_read.
 //
 // Admitted alerts are emitted through the AlertSink the moment the
 // filter rules them non-redundant (decisions are final; see
@@ -84,8 +89,23 @@ class StreamPipeline {
   /// stream order (the pair process_chunk would see).
   void ingest(const sim::SimEvent& e, std::string_view line);
 
-  /// File mode: one raw log line, in file order.
+  /// File mode: one raw log line, in file order: read_line() and
+  /// ingest_read() on this engine's own scratches.
   void ingest_line(std::string_view line);
+
+  /// The read half of ingest_line: parses and tags `line` (year-free)
+  /// into `out` with the caller's scratches. Const and touching nothing
+  /// ingest_read() writes, so other threads may run it while this
+  /// engine ingests (FileIngest's pool does).
+  void read_line(std::string_view line, core::detail::LineScratch& ls,
+                 match::MatchScratch& scratch,
+                 core::detail::LineRead& out) const;
+
+  /// The ordered half: ingests `line`, which read_line() read into
+  /// `read` on another scratch, in file order; the read's tag tallies
+  /// are added to this engine's. Equal to ingest_line(line), except
+  /// that the latency sample times only this half.
+  void ingest_read(std::string_view line, core::detail::LineRead& read);
 
   /// Flushes the open chunk; snapshot() afterwards is the batch
   /// result. Idempotent.
@@ -126,6 +146,15 @@ class StreamPipeline {
  private:
   void offer(const filter::Alert& a);
   std::uint32_t intern(std::string_view name);
+  /// Runs `ingest`, wall-timing every 16th call into the latency
+  /// histogram.
+  template <typename F>
+  void sampled(F&& ingest);
+  /// Everything of a file-mode line after its read: year, accumulate,
+  /// intern, study, filter, predict.
+  void reduce(std::string_view line, core::detail::LineRead& read);
+  /// ingest(e, line) without the latency sample.
+  void reduce(const sim::SimEvent& e, std::string_view line);
 
   parse::SystemId system_;
   StreamPipelineOptions opts_;

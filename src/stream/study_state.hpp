@@ -141,12 +141,12 @@ class StreamStudyState {
   StreamStudyState(parse::SystemId system, const StreamStudyOptions& opts);
 
   /// Folds one rendered event (already reduced into the pipeline
-  /// partial by the caller via core::detail::reduce_line) -- this
+  /// partial by the caller via core::detail::reduce_read) -- this
   /// entry point only advances chunk bookkeeping and window state.
   /// `partial()` exposes the live chunk partial to reduce into.
   core::PipelineResult& partial() { return partial_; }
 
-  /// Called after each reduce_line into partial(): advances event
+  /// Called after each reduce_read into partial(): advances event
   /// counters, windows, and (at chunk boundaries) merges the partial.
   void on_event(const sim::SimEvent& e, std::string_view line);
 

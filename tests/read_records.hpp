@@ -1,8 +1,9 @@
 // Test-side log reader: maps a log file with logio::InputBuffer, splits
-// it with simd::for_each_line, infers syslog years with
-// logio::YearTracker and parses every line with parse_line_into into
-// one reused record and scratch. It is the read loop the file tests
-// and the stream oracle share; the engine's own copy of the same
+// it with simd::for_each_line, parses every line year-free with
+// parse_line_into into one reused record and scratch, infers syslog
+// years from the month each parse reports with logio::YearTracker, and
+// completes the record with apply_year. It is the read loop the file
+// tests and the stream oracle share; the engine's own copy of the same
 // sequence is stream::StreamPipeline::ingest_line.
 #pragma once
 
@@ -38,7 +39,8 @@ ReadCounts read_records(const std::filesystem::path& path,
   parse::ParseScratch scratch;
   simd::for_each_line(input.view(), [&](std::string_view line) {
     ++counts.lines;
-    parse::parse_line_into(system, line, years.year_of(line), rec, scratch);
+    parse::parse_line_into(system, line, rec, scratch);
+    parse::apply_year(rec, years.on_month(rec.month), scratch);
     if (rec.source_corrupted) ++counts.corrupted_sources;
     if (!rec.timestamp_valid) ++counts.invalid_timestamps;
     fn(rec);

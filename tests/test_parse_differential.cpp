@@ -1,10 +1,16 @@
-// parse_line_into against the decoders it replaced (tests/
-// parse_oracle.hpp), on generated logs of all five systems (seeds 1
-// and 7, corruption on) and on seeded mutations of their headers:
-// truncation at every header byte, a flipped bit and a substituted
-// byte at every header position, case changes of every letter and of
-// the whole header, and tabs in place of spaces. Every LogRecord field
-// must equal the oracle's, views at the same offsets into the line.
+// parse_line_into, completed with apply_year, against the decoders it
+// replaced (tests/parse_oracle.hpp), on generated logs of all five
+// systems (seeds 1 and 7, corruption on) and on seeded mutations of
+// their headers: truncation at every header byte, a flipped bit and a
+// substituted byte at every header position, case changes of every
+// letter and of the whole header, and tabs in place of spaces. Every
+// LogRecord field must equal the oracle's, views at the same offsets
+// into the line, and the month the parse reports must be the one the
+// oracle's year inference decodes from the line's first three bytes.
+// The oracle's parse takes the year; the year comes from a
+// logio::YearTracker fed with the oracle's month decode. Hand-made logs
+// pin the year's two traps: a Feb 29 stamp on both sides of a Dec ->
+// Jan rollover, and a rejected stamp that still advances the year.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,6 +27,7 @@
 #include "parse_oracle.hpp"
 #include "sim/generator.hpp"
 #include "sim/spec.hpp"
+#include "stream/pipeline.hpp"
 #include "util/strings.hpp"
 
 namespace wss {
@@ -28,6 +35,7 @@ namespace {
 
 using parse::LogRecord;
 using parse::SystemId;
+using stream::StreamSnapshot;
 
 /// Every n-th generated line is mutated; all of them are parsed as is.
 constexpr std::size_t kMutateEvery = 8;
@@ -77,18 +85,28 @@ std::size_t header_end(std::string_view line) {
   return end;
 }
 
+/// The month the year inference reads: the oracle's decode of the
+/// line's first three bytes.
+int oracle_month(std::string_view line) {
+  return line.size() >= 3 ? parse_oracle::parse_month_abbrev(line.substr(0, 3))
+                          : 0;
+}
+
 /// Parses lines with both parsers and counts what they saw.
 class Differ {
  public:
   explicit Differ(SystemId system) : system_(system) {}
 
   void check(std::string_view line, int year) {
-    parse::parse_line_into(system_, line, year, got_, scratch_);
+    parse::parse_line_into(system_, line, got_, scratch_);
+    const bool month_differs = got_.month != oracle_month(line);
+    parse::apply_year(got_, year, scratch_);
     parse_oracle::parse_line_into(system_, line, year, want_, oracle_scratch_);
     ++parsed_;
     if (want_.timestamp_valid) ++valid_stamps_;
     if (want_.source_corrupted) ++corrupted_sources_;
-    const std::string diff = first_difference(got_, want_, line);
+    const std::string diff =
+        month_differs ? "month" : first_difference(got_, want_, line);
     if (!diff.empty() && ++mismatches_ <= 10) {
       ADD_FAILURE() << parse::system_short_name(system_) << " year " << year
                     << ": " << diff << " differs on \"" << line << '"';
@@ -168,7 +186,7 @@ TEST_P(ParseDifferential, EveryFieldMatchesTheOracle) {
   std::mt19937_64 rng(seed);
   std::size_t n = 0;
   simulator.for_each_line([&](std::string_view line) {
-    const int year = years.year_of(line);
+    const int year = years.on_month(oracle_month(line));
     lines.check(line, year);
     if (n++ % kMutateEvery == 0) {
       check_mutations(mutants, std::string(line), year, rng);
@@ -185,6 +203,116 @@ TEST_P(ParseDifferential, EveryFieldMatchesTheOracle) {
   EXPECT_GT(mutants.corrupted_sources(), 0u);
   EXPECT_LT(mutants.corrupted_sources(), mutants.parsed());
 }
+
+/// A hand-made log read the engine's way -- the year-free parse, a
+/// tracker fed the month the parse reports, apply_year -- beside the
+/// oracle's way, whose tracker reads the oracle's month decode and whose
+/// parse takes the year. Every record must agree; each line's year and
+/// record are kept for the caller's own expectations.
+struct YearWalk {
+  std::vector<int> years;
+  std::vector<LogRecord> records;
+  int rollovers = 0;
+};
+
+YearWalk walk_years(SystemId system, int start_year,
+                    const std::vector<std::string>& lines) {
+  YearWalk walk;
+  logio::YearTracker engine_years(start_year);
+  logio::YearTracker oracle_years(start_year);
+  parse::ParseScratch scratch;
+  parse::ParseScratch oracle_scratch;
+  for (const std::string& line : lines) {
+    LogRecord got;
+    parse::parse_line_into(system, line, got, scratch);
+    const int year = engine_years.on_month(got.month);
+    parse::apply_year(got, year, scratch);
+    LogRecord want;
+    const int oracle_year = oracle_years.on_month(oracle_month(line));
+    parse_oracle::parse_line_into(system, line, oracle_year, want,
+                                  oracle_scratch);
+    EXPECT_EQ(year, oracle_year) << line;
+    EXPECT_EQ(first_difference(got, want, line), "") << line;
+    walk.years.push_back(year);
+    walk.records.push_back(got);
+  }
+  EXPECT_EQ(engine_years.rollovers(), oracle_years.rollovers());
+  walk.rollovers = engine_years.rollovers();
+  return walk;
+}
+
+/// The stream engine's counts over the same lines: its reducer applies
+/// the year on its own path (core::detail::reduce_read).
+StreamSnapshot stream_counts(SystemId system, int start_year,
+                             const std::vector<std::string>& lines) {
+  stream::StreamPipelineOptions opts;
+  opts.strict_order = false;
+  opts.start_year = start_year;
+  stream::StreamPipeline pipeline(system, opts);
+  for (const std::string& line : lines) pipeline.ingest_line(line);
+  pipeline.finish();
+  return pipeline.snapshot();
+}
+
+// Feb 29 exists only in a leap year, so its stamp is decided after the
+// year: valid on the leap side of a Dec -> Jan rollover, rejected on
+// the common side. A rejected stamp resyncs the source on the space
+// after the stamp's third token, so a byte glued to the stamp
+// ("10:00:00x") makes the source "ln1" in a common year and "x" in a
+// leap year: the parse must run again once the year rejects the day.
+TEST(ParseYear, Feb29OnBothSidesOfARollover) {
+  const std::vector<std::string> lines = {
+      "Feb 29 10:00:00 ln1 kernel: before the rollover",
+      "Feb 29 10:00:00x ln1 kernel: a byte glued to the stamp",
+      "Dec 31 23:59:59 ln2 kernel: the last second",
+      "Jan  1 00:00:00 ln3 kernel: the new year",
+      "Feb 29 10:00:00 ln1 kernel: after the rollover",
+      "Feb 29 10:00:00x ln1 kernel: a byte glued to the stamp",
+  };
+  for (const SystemId system : {SystemId::kLiberty, SystemId::kRedStorm}) {
+    for (const int start : {2003, 2004}) {
+      SCOPED_TRACE(std::string(parse::system_short_name(system)) + " " +
+                   std::to_string(start));
+      const YearWalk walk = walk_years(system, start, lines);
+      EXPECT_EQ(walk.rollovers, 1);
+      std::uint64_t invalid = 0;
+      for (std::size_t i : {0u, 1u, 4u, 5u}) {
+        const bool leap = util::is_leap_year(walk.years[i]);
+        EXPECT_EQ(walk.records[i].timestamp_valid, leap) << lines[i];
+        if (!leap) ++invalid;
+      }
+      EXPECT_EQ(walk.records[1].source, start == 2004 ? "x" : "ln1");
+      EXPECT_EQ(walk.records[5].source, start == 2004 ? "ln1" : "x");
+      EXPECT_EQ(invalid, 2u);
+
+      const StreamSnapshot snap = stream_counts(system, start, lines);
+      EXPECT_EQ(snap.invalid_timestamp_lines, invalid);
+      EXPECT_EQ(snap.year_rollovers, 1);
+    }
+  }
+}
+
+// A line that starts with a month name advances the year inference even
+// when its stamp is rejected: "Dec 45" is no day, yet the "Jan" after it
+// is a rollover.
+TEST(ParseYear, RejectedStampStillAdvancesTheYear) {
+  const std::vector<std::string> lines = {
+      "Jun 15 12:00:00 ln1 kernel: mid-year",
+      "Dec 45 12:00:00 ln1 kernel: no such day",
+      "Jan  2 12:00:00 ln1 kernel: the next year",
+  };
+  for (const SystemId system : {SystemId::kLiberty, SystemId::kSpirit}) {
+    SCOPED_TRACE(parse::system_short_name(system));
+    const YearWalk walk = walk_years(system, 2005, lines);
+    EXPECT_FALSE(walk.records[1].timestamp_valid);
+    EXPECT_EQ(walk.records[1].month, 12);
+    ASSERT_TRUE(walk.records[2].timestamp_valid);
+    EXPECT_EQ(util::to_civil(walk.records[2].time).year, 2006);
+    EXPECT_EQ(walk.rollovers, 1);
+    EXPECT_EQ(stream_counts(system, 2005, lines).year_rollovers, 1);
+  }
+}
+
 
 INSTANTIATE_TEST_SUITE_P(
     FiveSystemsTwoSeeds, ParseDifferential,

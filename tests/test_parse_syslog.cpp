@@ -55,7 +55,7 @@ TEST(SyslogParse, BadStampResyncSplitsOnlyFourFields) {
   const std::string_view view = line;
   LogRecord r;
   ParseScratch scratch;
-  parse_syslog_line_into(kSys, line, 2005, r, scratch);
+  parse_syslog_line_into(kSys, line, r, scratch);
   EXPECT_FALSE(r.timestamp_valid);
   EXPECT_FALSE(r.source_corrupted);
   EXPECT_EQ(r.source, "sn7");
