@@ -91,7 +91,7 @@ bool FileIngest::run(logio::ChunkReader& reader,
     throw;
   }
   stop_pool();
-  if (failed_.load()) std::rethrow_exception(error_);
+  if (error_) std::rethrow_exception(error_);
   return ended;
 }
 
@@ -258,7 +258,7 @@ void FileIngest::work() {
     } catch (...) {
       {
         const std::lock_guard<std::mutex> lock(mu_);
-        if (!failed_.exchange(true)) error_ = std::current_exception();
+        if (!error_) error_ = std::current_exception();
       }
       b.failed = true;
       b.read.store(true);

@@ -143,11 +143,10 @@ class FileIngest {
   std::atomic<int> sleepers_{0};       ///< pool threads waiting for a cut
   std::atomic<bool> waiting_{false};   ///< the caller waits on a read
   std::atomic<bool> stop_{false};
-  std::atomic<bool> failed_{false};
   std::mutex mu_;
   std::condition_variable work_cv_;
   std::condition_variable read_cv_;
-  std::exception_ptr error_;
+  std::exception_ptr error_;  ///< a pool thread's first failure (mu_)
   std::vector<std::thread> pool_;
 };
 
